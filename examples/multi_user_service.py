@@ -4,7 +4,7 @@ This mirrors ``examples/pdr_user_adaptation.py`` — the paper's main
 experiment, one adapted model per pedestrian — but drives it the way a
 deployment would: the source model and its calibration are registered once
 with an :class:`repro.runtime.AdaptationService`, and every user is adapted
-through ``adapt_many`` on a worker pool.  Per-target seeding makes the
+through ``adapt_many`` on worker processes.  Per-target seeding makes the
 parallel run bit-identical to a serial one, adapted models live in an LRU
 cache, and each user leaves behind a JSON-serializable adaptation report.
 
@@ -56,14 +56,14 @@ def main() -> None:
     )
     print(f"confidence threshold tau = {calibration.threshold:.4f}\n")
 
-    # Register once, adapt the whole fleet of users on a worker pool.  The
+    # Register once, adapt the whole fleet of users on worker processes.  The
     # service never sees labels; all evaluation below is done caller-side.
     # max_cached_models bounds memory: evicted users keep their report and
     # fall back to source-model predictions until re-adapted, so keep the
     # cache at least as large as the fleet we are about to evaluate.
     service = AdaptationService(model, calibration, config=config, max_cached_models=len(task.scenarios))
     fleet = {scenario.name: scenario.adaptation.inputs for scenario in task.scenarios}
-    print(f"adapting {len(fleet)} users on 4 worker threads ...")
+    print(f"adapting {len(fleet)} users on 4 worker processes ...")
     reports = service.adapt_many(fleet, jobs=4)
 
     print(f"\n{'user':<16}{'group':<8}{'conf/unc':>10}{'STE before':>12}{'STE after':>12}{'secs':>7}")

@@ -4,7 +4,7 @@ This package is the serving seam of the reproduction — everything needed to
 run TASFAR for a *fleet* of target domains rather than one figure at a time:
 
 * :class:`AdaptationService` — register the source model and calibration
-  once, then adapt many targets (optionally on a worker pool) with an LRU
+  once, then adapt many targets (optionally on worker processes) with an LRU
   cache of adapted models and JSON-serializable per-target reports;
 * :class:`AdaptationReport` — the per-target record the service keeps;
 * :class:`ResultStore` — disk persistence for experiment results, making

@@ -4,16 +4,21 @@ TASFAR's deployment story (Section IV of the paper) is one adapted model per
 *target domain* — a PDR user, a crowd scene, a city district.  The
 :class:`AdaptationService` is the serving-side driver for that story: the
 source model and its calibration are registered once, then ``adapt(target_id,
-data)`` is called for as many targets as show up, optionally through a
-``concurrent.futures`` worker pool (:meth:`AdaptationService.adapt_many`).
+data)`` is called for as many targets as show up, optionally on worker
+processes (:meth:`AdaptationService.adapt_many`).
 
 Design points:
 
 * **Determinism under parallelism** — every target's adaptation is seeded by
-  a stable hash of its id (or an explicit per-call seed), and each worker
+  a stable hash of its id (or an explicit per-call seed), and each job
   adapts a private deep copy of the pristine source model, so running four
-  targets on four threads produces bit-identical results to running them one
-  after another.
+  targets on four worker processes produces bit-identical results to
+  running them one after another.
+* **One runner** — every adaptation entry point (``adapt``, ``adapt_stack``,
+  ``adapt_many`` and the streaming subclass's re-adaptations) hands a list
+  of tasks to :meth:`AdaptationService._run_tasks` and settles the results
+  through :meth:`AdaptationService._settle`; only the runner knows whether
+  a task runs in process or on worker processes.
 * **Bounded memory** — adapted models are kept in an LRU cache
   (``max_cached_models``); evicted targets keep their (tiny, JSON-friendly)
   :class:`~repro.runtime.AdaptationReport` and can simply be re-adapted on
@@ -28,21 +33,20 @@ from __future__ import annotations
 import copy
 import hashlib
 import threading
-import warnings
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Mapping
+from collections import OrderedDict, deque
+from contextlib import closing
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from ..core.adapter import SourceCalibration
 from ..core.config import TasfarConfig
-from ..engine.strategy import AdaptationStrategy, StackJob, StrategyOutcome, TasfarStrategy
+from ..engine.strategy import AdaptationStrategy, StrategyOutcome, TasfarStrategy
 from ..nn.losses import Loss
 from ..nn.models import RegressionModel
 from ..nn.stacked import StackingError, assert_stackable
 from ..nn.trainer import predict_batched
-from ..obs import MetricsRegistry, Stopwatch, use_metrics
+from ..obs import MetricsRegistry, Stopwatch
 from .report import AdaptationReport
 from .snapshots import (
     SnapshotError,
@@ -50,16 +54,14 @@ from .snapshots import (
     encode_model_weights,
     restore_model_weights,
 )
-from .workers import EXECUTOR_KINDS, AdaptationWorkerPool
+from .workers import AdaptationWorkerPool, Job, JobResult, run_task
 
 __all__ = ["AdaptationService", "canonical_target_id"]
 
-_THREAD_EXECUTOR_WARNING = (
-    "adapt_many is using the thread executor on a CPU-bound adaptation strategy: "
-    "the training loop is numpy-small-op and GIL-bound, so jobs>1 gives no "
-    "speedup over serial (measured 0.94x at jobs=4). Pass executor='process' "
-    "(or attach a pool with use_process_workers) for real parallelism."
-)
+#: A cache entry: the adapted model with its own forward lock.
+_Entry = tuple[RegressionModel, threading.Lock]
+#: An evicted entry waiting for its snapshot: ``(target_id, entry, report)``.
+_Spill = tuple[str, _Entry, AdaptationReport]
 
 
 def canonical_target_id(target_id: object) -> str:
@@ -161,12 +163,18 @@ class AdaptationService:
         # threads holding the same instance always hold the same lock, and
         # the lock table stays as bounded as the model cache.  The shared
         # source model keeps a global forward lock.
-        self._models: OrderedDict[str, tuple[RegressionModel, threading.Lock]] = OrderedDict()
+        self._models: OrderedDict[str, _Entry] = OrderedDict()
         self._reports: dict[str, AdaptationReport] = {}
         self._lock = threading.Lock()
         self._forward_lock = threading.Lock()
+        # Evicted entries whose snapshot is not on disk yet, newest per
+        # target (guarded by ``self._lock``): a miss re-admits from here
+        # instead of reading a stale or missing file.  One writer at a time
+        # drains the queue (``self._spill_lock``).
+        self._spilling: dict[str, _Spill] = {}
+        self._spill_queue: deque[_Spill] = deque()
+        self._spill_lock = threading.Lock()
         self._worker_pool: AdaptationWorkerPool | None = None
-        self._warned_thread_executor = False
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.snapshot_store = snapshot_store
 
@@ -187,7 +195,7 @@ class AdaptationService:
     # ------------------------------------------------------------------
     @property
     def executor(self) -> str:
-        """The executor kind adaptations currently run on (``thread`` or ``process``)."""
+        """``"process"`` with a worker pool attached, else ``"thread"`` (the caller's)."""
         return "process" if self._worker_pool is not None else "thread"
 
     @property
@@ -201,11 +209,12 @@ class AdaptationService:
         """Attach a process worker pool; every adaptation then runs on real cores.
 
         The pristine source model and the prepared strategy are shipped to
-        each worker once, at pool start.  All adaptation entry points —
-        :meth:`adapt`, :meth:`adapt_many`, and the streaming subclass's
-        re-adaptations — route through the pool from here on; results stay
-        bit-identical to the in-process path.  Replaces (and closes) any
-        previously attached pool.
+        each worker once, at pool start, and the workers are spawned before
+        this returns.  All adaptation entry points — :meth:`adapt`,
+        :meth:`adapt_stack`, :meth:`adapt_many`, and the streaming
+        subclass's re-adaptations — route through the pool from here on;
+        results stay bit-identical to the in-process path.  Replaces (and
+        closes) any previously attached pool.
         """
         pool = AdaptationWorkerPool(
             workers,
@@ -220,7 +229,7 @@ class AdaptationService:
         return pool
 
     def restart_workers(self) -> list[int]:
-        """Kill and respawn the attached worker processes (no-op on threads).
+        """Kill and respawn the attached worker processes (no-op without a pool).
 
         Fault-injection hook: models a crashed worker fleet.  Returns the
         PIDs that were killed (empty when no process pool is attached).
@@ -266,55 +275,84 @@ class AdaptationService:
             retrievable via :meth:`model_for` while cached.
         """
         target_id = canonical_target_id(target_id)
-        effective_seed = self.target_seed(target_id) if seed is None else int(seed)
-        report, outcome = self._run_adaptation(target_id, inputs, effective_seed)
-        self._store_result(target_id, report, outcome.target_model)
+        seed = self.target_seed(target_id) if seed is None else int(seed)
+        task = [(target_id, inputs, seed, None)]
+        [results] = self._run_tasks([task])
+        [(report, error)] = self._settle(task, results, "cold")
+        if error is not None:
+            raise error
         return report
 
-    def _run_adaptation(
-        self,
-        target_id: str,
-        inputs: np.ndarray,
-        seed: int,
-        base_model: RegressionModel | None = None,
-        warm_epochs: int | None = None,
-    ) -> tuple[AdaptationReport, StrategyOutcome]:
-        """Run one adaptation and return both the report and the full outcome.
+    def _run_tasks(
+        self, tasks: list[list[Job]], warm_epochs: int | None = None, jobs: int = 1
+    ) -> Iterator[list[JobResult]]:
+        """Run adaptation tasks; yield each task's per-job results, in input order.
 
-        The streaming subsystem layers on this seam: it needs the
-        :class:`~repro.engine.StrategyOutcome` (for the estimated density
-        map) and the ability to fine-tune from an already-adapted
-        ``base_model`` with a shorter ``warm_epochs`` schedule (warm-start
-        re-adaptation), neither of which the public :meth:`adapt` exposes.
-
-        The strategy receives a private deep copy of the model it starts
-        from, so concurrent workers never share forward caches.  With a
-        process pool attached the same computation runs inside a worker
-        process instead (bit-identical — the worker mirrors this method);
-        either way the caller blocks until the result is back.
+        A task is a list of ``(target_id, inputs, seed, base_model)`` jobs
+        run by :func:`~repro.runtime.workers.run_task`: one seeded
+        ``strategy.adapt`` for a single job, one stacked fine-tune for more.
+        This is the one place that decides *where* adaptations run — on the
+        attached process pool when there is one (every task is submitted up
+        front, then results are collected in order), on an ephemeral pool
+        when ``jobs > 1`` asks for worker processes, and otherwise in the
+        calling thread, one task at a time as the caller consumes results.
+        Per-job failures come back as data; a killed pool raises
+        :class:`~repro.runtime.WorkerCrashError`.
         """
-        mode = "warm" if base_model is not None else "cold"
         pool = self._worker_pool
-        if pool is not None:
-            report, outcome = pool.adapt(target_id, inputs, seed, base_model, warm_epochs)
-            self.metrics.counter("service.adaptations", mode=mode)
-            self.metrics.observe("service.adapt_seconds", report.duration_seconds, mode=mode)
-            return report, outcome
-        model = copy.deepcopy(base_model if base_model is not None else self._source_model)
-        watch = Stopwatch()
-        with use_metrics(self.metrics if self.metrics.enabled else None):
-            outcome = self.strategy.adapt(
-                model,
-                inputs,
-                seed=seed,
-                base_model=model if base_model is not None else None,
-                warm_epochs=warm_epochs,
+        workers = min(jobs, len(tasks))
+        if pool is None and workers <= 1:
+            metrics = self.metrics if self.metrics.enabled else None
+            for task in tasks:
+                yield run_task(self.strategy, self._source_model, task, warm_epochs, metrics)
+            return
+        ephemeral = pool is None
+        if ephemeral:
+            pool = AdaptationWorkerPool(
+                workers, self._source_model, self.strategy, metrics=self.metrics
             )
-        duration = watch.elapsed()
-        report = AdaptationReport.from_outcome(target_id, seed, outcome, len(inputs), duration)
-        self.metrics.counter("service.adaptations", mode=mode)
-        self.metrics.observe("service.adapt_seconds", duration, mode=mode)
-        return report, outcome
+        try:
+            futures = [pool.submit_stacked(task, warm_epochs) for task in tasks]
+            for future in futures:
+                yield pool.collect_stacked(future)
+        finally:
+            if ephemeral:
+                pool.close()
+
+    def _settle(
+        self,
+        task: list[Job],
+        results: list[JobResult],
+        mode: str,
+        publish: Callable[[int, AdaptationReport, StrategyOutcome], None] | None = None,
+    ) -> list[tuple[AdaptationReport | None, Exception | None]]:
+        """Account for one finished task and publish its successes.
+
+        One ``service.adaptations{mode}`` count per success and one
+        ``service.adapt_seconds`` sample per task: its jobs shared one wall
+        clock, and K copies of it would skew the histogram.  Each success is
+        published by ``publish(job_index, report, outcome)`` — by default
+        into the report table and the LRU cache (:meth:`_store_result`).
+        Returns ``(report, error)`` per job, in input order.
+        """
+        settled: list[tuple[AdaptationReport | None, Exception | None]] = []
+        observed = False
+        for index, ((target_id, *_), (report, outcome, error)) in enumerate(
+            zip(task, results)
+        ):
+            if error is not None:
+                settled.append((None, error))
+                continue
+            self.metrics.counter("service.adaptations", mode=mode)
+            if not observed:
+                self.metrics.observe("service.adapt_seconds", report.duration_seconds, mode=mode)
+                observed = True
+            if publish is None:
+                self._store_result(target_id, report, outcome.target_model)
+            else:
+                publish(index, report, outcome)
+            settled.append((report, None))
+        return settled
 
     def _store_result(
         self, target_id: str, report: AdaptationReport, model: RegressionModel
@@ -324,29 +362,43 @@ class AdaptationService:
             self._reports[target_id] = report
             self._models[target_id] = (model, threading.Lock())
             self._models.move_to_end(target_id)
-            spilled = self._evict_over_capacity_locked()
-        self._spill_snapshots(spilled)
+            self._evict_over_capacity_locked()
+        self._drain_spills()
 
-    def _evict_over_capacity_locked(self) -> list[tuple[str, RegressionModel, AdaptationReport]]:
-        """Pop LRU entries past capacity; return what must spill to the snapshot tier.
-
-        Must run under ``self._lock``.  The actual disk writes happen later,
-        outside the lock: spilling streaming drift state takes per-stream
-        locks whose ordering forbids holding the cache lock, and disk IO
-        under the cache lock would stall every concurrent lookup anyway.
-        """
-        spilled: list[tuple[str, RegressionModel, AdaptationReport]] = []
+    def _evict_over_capacity_locked(self) -> None:
+        """Pop LRU entries past capacity and queue their spills (``self._lock`` held)."""
         while len(self._models) > self.max_cached_models:
-            evicted_id, (evicted_model, _lock) = self._models.popitem(last=False)
+            evicted_id, entry = self._models.popitem(last=False)
             self.metrics.counter("service.cache.evictions", reason="capacity")
-            report = self._reports.get(evicted_id)
-            if self.snapshot_store is not None and report is not None:
-                spilled.append((evicted_id, evicted_model, report))
-        return spilled
+            self._queue_spill_locked(evicted_id, entry)
 
     # ------------------------------------------------------------------
     # Snapshot tier (spill on evict, resume on next touch)
     # ------------------------------------------------------------------
+    def _queue_spill_locked(self, target_id: str, entry: _Entry) -> None:
+        """Queue an evicted entry for the snapshot tier (``self._lock`` held)."""
+        report = self._reports.get(target_id)
+        if self.snapshot_store is not None and report is not None:
+            spill = (target_id, entry, report)
+            self._spilling[target_id] = spill
+            self._spill_queue.append(spill)
+
+    def _readmit_locked(self, target_id: str) -> _Entry | None:
+        """Put a target whose spill is still in flight back in the cache.
+
+        Its in-memory model — with the same forward lock, since other
+        threads may still be forwarding it — is the newest state of the
+        target; the file may be older or not written yet.  Must run under
+        ``self._lock``; the caller drains the spills this admission queues.
+        """
+        spill = self._spilling.get(target_id)
+        if spill is None:
+            return None
+        entry = spill[1]
+        self._models[target_id] = entry
+        self._evict_over_capacity_locked()
+        return entry
+
     def _snapshot_stream_state(self, target_id: str) -> dict | None:
         """Streaming drift state for a spilling target (batch service: none).
 
@@ -355,34 +407,51 @@ class AdaptationService:
         """
         return None
 
-    def _spill_snapshots(
-        self, entries: list[tuple[str, RegressionModel, AdaptationReport]]
-    ) -> None:
-        """Write evicted ``(id, model, report)`` tuples to the snapshot tier.
+    def _drain_spills(self) -> None:
+        """Write queued snapshots, one writer per service at a time.
 
-        Runs without any service lock held: each model left the cache
-        atomically with its report, so the tuple is self-consistent, and
-        concurrent spills of different targets write disjoint files (racing
-        spills of the *same* target each write a complete document and the
-        last atomic rename wins).
+        Runs without the cache lock: spilling streaming drift state takes
+        per-stream locks whose ordering forbids holding it, and disk IO
+        under it would stall every lookup.  Whoever holds the spill lock
+        writes the whole queue while other evicting threads only enqueue,
+        so spills land in eviction order, and a spill that a newer eviction
+        of the same target superseded is skipped instead of racing it to
+        the file.
         """
         store = self.snapshot_store
         if store is None:
             return
-        for target_id, model, report in entries:
-            store.save(
-                target_id,
-                {
-                    "report": report.to_dict(),
-                    "weights": encode_model_weights(model),
-                    "stream": self._snapshot_stream_state(target_id),
-                },
-            )
-            self.metrics.counter("snapshots.spilled")
+        while self._spill_lock.acquire(blocking=False):
+            try:
+                while True:
+                    with self._lock:
+                        if not self._spill_queue:
+                            break
+                        spill = self._spill_queue.popleft()
+                        if self._spilling.get(spill[0]) is not spill:
+                            continue
+                    target_id, (model, _forward_lock), report = spill
+                    try:
+                        store.save(
+                            target_id,
+                            {
+                                "report": report.to_dict(),
+                                "weights": encode_model_weights(model),
+                                "stream": self._snapshot_stream_state(target_id),
+                            },
+                        )
+                    finally:
+                        with self._lock:
+                            if self._spilling.get(target_id) is spill:
+                                del self._spilling[target_id]
+                    self.metrics.counter("snapshots.spilled")
+            finally:
+                self._spill_lock.release()
+            with self._lock:
+                if not self._spill_queue:
+                    return
 
-    def _resume_from_snapshot(
-        self, target_id: str
-    ) -> tuple[RegressionModel, threading.Lock] | None:
+    def _resume_from_snapshot(self, target_id: str) -> _Entry | None:
         """Rebuild a target's adapted model from its snapshot, if one exists.
 
         Returns the freshly cached ``(model, forward_lock)`` entry, or
@@ -403,28 +472,25 @@ class AdaptationService:
                 return None
             restore_model_weights(model, payload.get("weights"))
             report = AdaptationReport.from_dict(payload["report"])
-        except SnapshotError:
-            store.discard(target_id)
-            self.metrics.counter("snapshots.corrupt")
-            return None
-        except (KeyError, TypeError, ValueError):
+        except (SnapshotError, KeyError, TypeError, ValueError):
             store.discard(target_id)
             self.metrics.counter("snapshots.corrupt")
             return None
         model.eval()
         entry = (model, threading.Lock())
         with self._lock:
-            current = self._models.get(target_id)
-            if current is not None:
-                # A concurrent resume (or re-adaptation) won the race while
-                # we were reading disk; keep the cached entry authoritative.
+            # A concurrent resume, re-adaptation or eviction may have won
+            # the race while we were reading disk; keep its state.
+            current = self._models.get(target_id) or self._readmit_locked(target_id)
+            if current is None:
+                self._reports[target_id] = report
+                self._models[target_id] = entry
+                self._evict_over_capacity_locked()
+            else:
                 self._models.move_to_end(target_id)
-                return current
-            self._reports[target_id] = report
-            self._models[target_id] = entry
-            self._models.move_to_end(target_id)
-            spilled = self._evict_over_capacity_locked()
-        self._spill_snapshots(spilled)
+        self._drain_spills()
+        if current is not None:
+            return current
         self.metrics.counter("snapshots.resumed")
         self.metrics.observe("snapshots.resume_seconds", watch.elapsed())
         return entry
@@ -462,160 +528,59 @@ class AdaptationService:
         *,
         warm_epochs: int | None = None,
     ) -> list[tuple[AdaptationReport | None, Exception | None]]:
-        """Adapt one ``train_batching`` group of targets via the stacked path.
+        """Adapt one ``train_batching`` group of targets as one task.
 
         ``entries`` are ``(target_id, inputs, seed)`` with ``seed=None``
         meaning the usual :meth:`target_seed`.  Each job gets a private deep
         copy of the source model (schemes may forward through their start
         model), so results are bit-identical to per-target :meth:`adapt`
-        calls.  Runs on the attached process worker pool when one is present
-        (mirroring how serial :meth:`adapt` routes), in-process otherwise.
-        Successes are stored; per-job failures are returned as data in input
-        order for the caller's error policy (the serving gateway answers
-        them as error envelopes, :meth:`adapt_many` raises the first).
+        calls.  Successes are stored; per-job failures are returned as data
+        in input order for the caller's error policy (the serving gateway
+        answers them as error envelopes, :meth:`adapt_many` raises the
+        first).
         """
-        resolved = [
+        task = [
             (
                 canonical_target_id(tid),
                 data,
                 self.target_seed(tid) if seed is None else int(seed),
+                None,
             )
             for tid, data, seed in entries
         ]
-        pool = self._worker_pool
-        if pool is not None:
-            trios = pool.collect_stacked(
-                pool.submit_stacked(
-                    [(tid, data, seed, None) for tid, data, seed in resolved],
-                    warm_epochs,
-                )
-            )
-        else:
-            jobs = [
-                StackJob(
-                    model=copy.deepcopy(self._source_model),
-                    inputs=data,
-                    seed=seed,
-                    target_id=tid,
-                )
-                for tid, data, seed in resolved
-            ]
-            watch = Stopwatch()
-            with use_metrics(self.metrics if self.metrics.enabled else None):
-                outcomes = self.strategy.adapt_stacked(jobs, warm_epochs=warm_epochs)
-            duration = watch.elapsed()
-            trios = []
-            for (tid, data, seed), (outcome, error) in zip(resolved, outcomes):
-                if error is not None:
-                    trios.append((None, None, error))
-                else:
-                    report = AdaptationReport.from_outcome(
-                        tid, seed, outcome, len(data), duration
-                    )
-                    trios.append((report, outcome, None))
-        results: list[tuple[AdaptationReport | None, Exception | None]] = []
-        observed = False
-        for (tid, _data, _seed), (report, outcome, error) in zip(resolved, trios):
-            if error is not None:
-                results.append((None, error))
-                continue
-            self.metrics.counter("service.adaptations", mode="cold")
-            if not observed:
-                # One latency sample per stack: the jobs shared one wall
-                # clock, and K copies of it would skew the histogram.
-                self.metrics.observe(
-                    "service.adapt_seconds", report.duration_seconds, mode="cold"
-                )
-                observed = True
-            self._store_result(tid, report, outcome.target_model)
-            results.append((report, None))
-        return results
-
-    def _adapt_chunks_process(
-        self, chunks: list[list[tuple[str, np.ndarray]]], jobs: int
-    ) -> dict[str, AdaptationReport]:
-        """Fan ``train_batching`` stacks out over worker processes.
-
-        Batching composes with process sharding: each chunk is one worker
-        task running a whole stacked fine-tune; chunks spread across the
-        pool's real cores.  Bookkeeping happens in the parent, in input
-        order, as everywhere else.
-        """
-        pool = self._worker_pool
-        ephemeral = pool is None
-        if ephemeral:
-            pool = AdaptationWorkerPool(
-                jobs, self._source_model, self.strategy, metrics=self.metrics
-            )
-        reports: dict[str, AdaptationReport] = {}
-        try:
-            submitted = [
-                (
-                    chunk,
-                    pool.submit_stacked(
-                        [(tid, data, self.target_seed(tid), None) for tid, data in chunk]
-                    ),
-                )
-                for chunk in chunks
-            ]
-            for chunk, future in submitted:
-                observed = False
-                for (tid, _data), (report, outcome, error) in zip(
-                    chunk, pool.collect_stacked(future)
-                ):
-                    if error is not None:
-                        raise error
-                    self.metrics.counter("service.adaptations", mode="cold")
-                    if not observed:
-                        # One latency sample per stack (shared wall clock).
-                        self.metrics.observe(
-                            "service.adapt_seconds", report.duration_seconds, mode="cold"
-                        )
-                        observed = True
-                    self._store_result(tid, report, outcome.target_model)
-                    reports[tid] = report
-        finally:
-            if ephemeral:
-                pool.close()
-        return reports
+        [results] = self._run_tasks([task], warm_epochs)
+        return self._settle(task, results, "cold")
 
     def adapt_many(
         self,
         targets: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]],
         jobs: int = 1,
-        executor: str | None = None,
         train_batching: int = 1,
     ) -> dict[str, AdaptationReport]:
-        """Adapt a batch of targets, optionally on a worker pool.
+        """Adapt a batch of targets, optionally on worker processes.
 
         Parameters
         ----------
         targets:
             ``{target_id: inputs}`` mapping or an iterable of pairs.
         jobs:
-            Worker count.  ``1`` runs serially in the calling thread; any
-            value produces identical numbers because every target is
-            independently seeded.
-        executor:
-            ``"process"`` runs workers on real cores (this is where jobs>1
-            actually goes faster); ``"thread"`` keeps the old GIL-bound
-            thread pool and warns once, because the adaptation loop is
-            numpy-small-op CPU-bound work that threads cannot overlap.
-            ``None`` (the default) picks ``"process"`` when a pool is
-            already attached via :meth:`use_process_workers`, else
-            ``"thread"``.
+            ``1`` runs in the calling thread (or on the attached pool, when
+            :meth:`use_process_workers` attached one); ``jobs > 1`` without
+            an attached pool runs on that many worker processes for this
+            call.  Any value produces identical numbers because every
+            target is independently seeded.
         train_batching:
             Stack size for cross-target batched training.  ``K > 1`` groups
-            up to K targets into one stacked fine-tune *inside* each worker
-            (composing with ``executor="process"`` across workers), with
-            results bit-identical to serial per-target adaptation.  Raises
-            :class:`ValueError` when the scheme or model cannot stack — no
-            silent fallback.
+            up to K targets into one stacked fine-tune (one task, composing
+            with worker processes across tasks), with results bit-identical
+            to serial per-target adaptation.  Raises :class:`ValueError`
+            when the scheme or model cannot stack — no silent fallback.
 
         Returns
         -------
         dict
-            Reports keyed by target id, in the input order.
+            Reports keyed by target id, in the input order.  The first
+            failing target's error is raised.
         """
         items = [
             (canonical_target_id(tid), data)
@@ -625,80 +590,21 @@ class AdaptationService:
         ]
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if executor is not None and executor not in EXECUTOR_KINDS:
-            raise ValueError(f"executor must be one of {EXECUTOR_KINDS}, got {executor!r}")
-        train_batching = self.check_train_batching(train_batching)
-        if executor is None:
-            executor = "process" if self._worker_pool is not None else "thread"
-        if train_batching > 1 and len(items) > 1:
-            chunks = [
-                items[start : start + train_batching]
-                for start in range(0, len(items), train_batching)
-            ]
-            if executor == "process" and (jobs > 1 or self._worker_pool is not None):
-                return self._adapt_chunks_process(chunks, jobs)
-            reports: dict[str, AdaptationReport] = {}
-            for chunk in chunks:
-                reports.update(self._collect_stack_chunk(chunk))
-            return reports
-        if jobs == 1 or len(items) <= 1:
-            return {tid: self.adapt(tid, data) for tid, data in items}
-        if executor == "process":
-            return self._adapt_many_process(items, jobs)
-        if not self._warned_thread_executor:
-            self._warned_thread_executor = True
-            warnings.warn(_THREAD_EXECUTOR_WARNING, RuntimeWarning, stacklevel=2)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(self.adapt, tid, data) for tid, data in items]
-            return {tid: future.result() for (tid, _), future in zip(items, futures)}
-
-    def _collect_stack_chunk(
-        self, chunk: list[tuple[str, np.ndarray]]
-    ) -> dict[str, AdaptationReport]:
-        """In-process stack adaptation with `adapt_many`'s raise-on-error policy."""
+        size = self.check_train_batching(train_batching)
+        tasks = [
+            [(tid, data, self.target_seed(tid), None) for tid, data in items[start : start + size]]
+            for start in range(0, len(items), size)
+        ]
         reports: dict[str, AdaptationReport] = {}
-        entries = [(tid, data, None) for tid, data in chunk]
-        for (tid, _), (report, error) in zip(chunk, self.adapt_stack(entries)):
-            if error is not None:
-                raise error
-            reports[tid] = report
+        with closing(self._run_tasks(tasks, jobs=jobs)) as results:
+            for task, task_results in zip(tasks, results):
+                for (tid, *_), (report, error) in zip(
+                    task, self._settle(task, task_results, "cold")
+                ):
+                    if error is not None:
+                        raise error
+                    reports[tid] = report
         return reports
-
-    def _adapt_many_process(
-        self, items: list[tuple[str, np.ndarray]], jobs: int
-    ) -> dict[str, AdaptationReport]:
-        """Fan a batch out over worker processes and fold results back in order.
-
-        Uses the attached pool when present (weights already shipped), else
-        stands up an ephemeral one sized ``jobs`` for this call.  All
-        bookkeeping — the LRU model cache, the report table — happens in the
-        parent, in input order, exactly as the serial path would do it.
-        """
-        pool = self._worker_pool
-        ephemeral = pool is None
-        if ephemeral:
-            pool = AdaptationWorkerPool(
-                jobs, self._source_model, self.strategy, metrics=self.metrics
-            )
-        try:
-            submitted = []
-            for tid, data in items:
-                target_id = canonical_target_id(tid)
-                seed = self.target_seed(target_id)
-                submitted.append((target_id, pool.submit(target_id, data, seed)))
-            reports: dict[str, AdaptationReport] = {}
-            for target_id, future in submitted:
-                report, outcome = pool.collect(future)
-                self.metrics.counter("service.adaptations", mode="cold")
-                self.metrics.observe(
-                    "service.adapt_seconds", report.duration_seconds, mode="cold"
-                )
-                self._store_result(target_id, report, outcome.target_model)
-                reports[target_id] = report
-            return reports
-        finally:
-            if ephemeral:
-                pool.close()
 
     # ------------------------------------------------------------------
     # Lookup
@@ -723,16 +629,15 @@ class AdaptationService:
             f"adapt({target_id!r}, inputs) first"
         )
 
-    def _model_and_lock(
-        self, target_id: str
-    ) -> tuple[RegressionModel, threading.Lock] | None:
+    def _model_and_lock(self, target_id: str) -> _Entry | None:
         """Atomically resolve a cached model together with its forward lock.
 
         On a cache miss with a snapshot tier attached, the target's model is
-        warm-resumed from disk (bit-identical weights, original report)
-        before the miss is conceded — this one chokepoint serves
-        :meth:`model_for`, :meth:`predict`, the gateway micro-batcher, and
-        the streaming probes, so every touch of an evicted target resumes.
+        re-admitted from an in-flight spill or warm-resumed from disk
+        (bit-identical weights, original report) before the miss is
+        conceded — this one chokepoint serves :meth:`model_for`,
+        :meth:`predict`, the gateway micro-batcher, and the streaming
+        probes, so every touch of an evicted target resumes.
         """
         target_id = canonical_target_id(target_id)
         with self._lock:
@@ -740,8 +645,10 @@ class AdaptationService:
             if entry is not None:
                 self._models.move_to_end(target_id)
                 return entry
-        if self.snapshot_store is None:
-            return None
+            entry = self._readmit_locked(target_id)
+        if entry is not None:
+            self._drain_spills()
+            return entry
         return self._resume_from_snapshot(target_id)
 
     def model_for(self, target_id: str, required: bool = False) -> RegressionModel | None:
@@ -833,24 +740,20 @@ class AdaptationService:
         With a snapshot store attached, every evicted model spills to the
         warm tier first, so the next touch resumes instead of cold-adapting.
         """
-        spilled: list[tuple[str, RegressionModel, AdaptationReport]] = []
         with self._lock:
             if target_id is None:
-                popped = [(tid, entry[0]) for tid, entry in self._models.items()]
+                popped = list(self._models.items())
                 self._models.clear()
             else:
                 target_id = canonical_target_id(target_id)
                 entry = self._models.pop(target_id, None)
-                popped = [(target_id, entry[0])] if entry is not None else []
-            evicted = [tid for tid, _model in popped]
-            if self.snapshot_store is not None:
-                for tid, model in popped:
-                    report = self._reports.get(tid)
-                    if report is not None:
-                        spilled.append((tid, model, report))
+                popped = [(target_id, entry)] if entry is not None else []
+            for tid, entry in popped:
+                self._queue_spill_locked(tid, entry)
+        evicted = [tid for tid, _entry in popped]
         if evicted:
             self.metrics.counter("service.cache.evictions", len(evicted), reason="explicit")
-        self._spill_snapshots(spilled)
+        self._drain_spills()
         return evicted
 
     def report_for(self, target_id: str) -> AdaptationReport | None:

@@ -3,10 +3,9 @@
 The adaptation hot path is hundreds of *small* numpy operations per epoch —
 tiny gemms, elementwise updates, RNG draws — and CPython holds the GIL
 through nearly all of them (the kernels are too small for numpy to release
-it for long).  A thread pool therefore adds safety but no speed:
-``benchmark_report.txt`` measured pooled ``adapt_many`` at jobs=4 running at
-**0.94x of serial**.  :class:`AdaptationWorkerPool` moves the work onto a
-``ProcessPoolExecutor`` so a fleet adaptation can actually use the machine.
+it for long), so threads add no speed (measured 0.56–0.96x of serial).
+:class:`AdaptationWorkerPool` moves the work onto a ``ProcessPoolExecutor``
+so a fleet adaptation can actually use the machine.
 
 Design points:
 
@@ -16,22 +15,24 @@ Design points:
   under ``fork`` — and stashes them in a module global.  Per-task traffic is
   only ``(target_id, inputs, seed)`` out and ``(report, adapted model)``
   back.
-* **Bit-identical to in-process adaptation.**  The worker runs exactly the
-  computation :meth:`AdaptationService._run_adaptation` runs — deep copy of
-  the start model, one seeded ``strategy.adapt`` — and pickling preserves
-  float64 bits exactly, so ``executor="process"`` results are byte-equal to
-  serial results (the equivalence oracles in ``tests/runtime`` and
-  ``tests/sim`` pin this for all six schemes).
+* **Bit-identical to in-process adaptation.**  The worker runs
+  :func:`run_task`, the very function the in-process path runs, and
+  pickling preserves float64 bits exactly, so process results are
+  byte-equal to serial results (the equivalence oracles in
+  ``tests/runtime`` and ``tests/sim`` pin this for all six schemes).
 * **Registry-addressable strategies.**  Everything crossing the pool
   boundary must pickle: strategies are plain objects built through
   :mod:`repro.engine.registry` (no closures), models are numpy-parameter
   containers, reports are JSON-friendly dataclasses.
+* **Eager start.**  The pool spawns every worker at construction (and at
+  :meth:`~AdaptationWorkerPool.restart`), so the first adaptation never
+  pays for spawn and no worker is forked from a serving thread.
 * **Crash isolation.**  :meth:`AdaptationWorkerPool.restart` *kills* the
   worker processes (it does not drain them) and stands up a fresh pool.
   In-flight futures then raise instead of hanging — queued ones come back
-  ``CancelledError``, running ones ``BrokenProcessPool`` — and
-  :meth:`AdaptationWorkerPool.collect` translates both into the typed
-  :class:`WorkerCrashError` the serving layer answers as an error envelope.
+  ``CancelledError``, running ones ``BrokenProcessPool`` — and the pool
+  translates both into the typed :class:`WorkerCrashError` the serving
+  layer answers as an error envelope.
 """
 
 from __future__ import annotations
@@ -56,8 +57,16 @@ __all__ = [
     "default_start_method",
 ]
 
-#: Executor kinds the runtime and serving layers accept.
+#: Executor kinds the serving layer accepts: adaptations on the shard
+#: dispatch threads, or on per-shard worker processes.
 EXECUTOR_KINDS = ("thread", "process")
+
+#: One adaptation job: ``(target_id, inputs, seed, base_model)``.  ``base_model``
+#: is ``None`` for a cold adaptation from the source model, or a previously
+#: adapted model to warm-start from.
+Job = tuple[str, np.ndarray, int, "RegressionModel | None"]
+#: What one job settles to: ``(report, outcome, None)`` or ``(None, None, error)``.
+JobResult = tuple["AdaptationReport | None", "StrategyOutcome | None", "Exception | None"]
 
 
 class WorkerCrashError(RuntimeError):
@@ -75,9 +84,61 @@ def default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
+def run_task(
+    strategy: AdaptationStrategy,
+    source_model: RegressionModel,
+    task: list[Job],
+    warm_epochs: int | None,
+    metrics: MetricsRegistry | None,
+) -> list[JobResult]:
+    """Run one adaptation task and return one result per job, in input order.
+
+    A one-job task is one seeded ``strategy.adapt`` call; a longer task is
+    one ``strategy.adapt_stacked`` call (``train_batching``), so schemes and
+    models without a stacked path only ever see the serial call.  Every job
+    adapts a private deep copy of its start model — concurrent tasks never
+    share forward caches — and per-job failures come back as data, so one
+    bad target does not poison its stack-mates.  The jobs of a task share
+    one wall clock, which every report carries as its duration.
+    """
+    models = [copy.deepcopy(source_model if base is None else base) for *_, base in task]
+    watch = Stopwatch()
+    with use_metrics(metrics):
+        if len(task) == 1:
+            [(_target_id, inputs, seed, base_model)] = task
+            try:
+                outcome = strategy.adapt(
+                    models[0],
+                    inputs,
+                    seed=seed,
+                    base_model=models[0] if base_model is not None else None,
+                    warm_epochs=warm_epochs,
+                )
+                pairs = [(outcome, None)]
+            except Exception as exc:  # noqa: BLE001 - attributed to the job
+                pairs = [(None, exc)]
+        else:
+            jobs = [
+                StackJob(model=model, inputs=inputs, seed=seed, target_id=target_id)
+                for model, (target_id, inputs, seed, _base) in zip(models, task)
+            ]
+            pairs = strategy.adapt_stacked(jobs, warm_epochs=warm_epochs)
+    duration = watch.elapsed()
+    return [
+        (None, None, error)
+        if error is not None
+        else (
+            AdaptationReport.from_outcome(target_id, seed, outcome, len(inputs), duration),
+            outcome,
+            None,
+        )
+        for (target_id, inputs, seed, _base), (outcome, error) in zip(task, pairs)
+    ]
+
+
 # One payload per worker *process*: set once by the pool initializer, read by
 # every task that worker runs.  Module-global (not a closure) so the worker
-# entry points pickle under every start method.
+# entry point pickles under every start method.
 _WORKER_STATE: dict = {}
 
 
@@ -86,88 +147,30 @@ def _init_worker(source_model: RegressionModel, strategy: AdaptationStrategy) ->
     _WORKER_STATE["strategy"] = strategy
 
 
-def _worker_adapt(
-    target_id: str,
-    inputs: np.ndarray,
-    seed: int,
-    base_model: RegressionModel | None,
-    warm_epochs: int | None,
-) -> tuple[AdaptationReport, StrategyOutcome, dict]:
-    """Run one adaptation inside a worker process.
+def _worker_ready() -> None:
+    """No-op task: its completion proves a worker process is up."""
 
-    Mirrors :meth:`AdaptationService._run_adaptation` exactly — same deep
-    copy, same ``strategy.adapt`` call shape — which is what keeps process
-    results bit-identical to in-process ones.  The heavyweight
-    ``outcome.result`` (per-sample prediction arrays) is dropped before the
-    outcome crosses back: the parent's bookkeeping needs only the adapted
-    model, the losses, and the density map.
 
-    The third element is a metrics **delta**: the work runs under a fresh
+def _worker_run(task: list[Job], warm_epochs: int | None) -> tuple[list[JobResult], dict]:
+    """Run one :func:`run_task` inside a worker process.
+
+    The heavyweight ``outcome.result`` (per-sample prediction arrays) is
+    dropped before the outcomes cross back: the parent's bookkeeping needs
+    only the adapted model, the losses, and the density map.
+
+    The second element is a metrics **delta**: the work runs under a fresh
     worker-local :class:`~repro.obs.MetricsRegistry` (the parent's registry
-    does not exist in this process), whose snapshot rides home on the
-    result so :meth:`AdaptationWorkerPool.collect` can fold engine-level
-    counters (epochs, epoch timing) into the parent's registry.
+    does not exist in this process), whose snapshot rides home once per task
+    so the pool can fold engine-level counters (epochs, epoch timing) into
+    the parent's registry.
     """
-    source = _WORKER_STATE["source_model"]
-    strategy = _WORKER_STATE["strategy"]
-    model = copy.deepcopy(base_model if base_model is not None else source)
     delta = MetricsRegistry()
-    watch = Stopwatch()
-    with use_metrics(delta):
-        outcome = strategy.adapt(
-            model,
-            inputs,
-            seed=seed,
-            base_model=model if base_model is not None else None,
-            warm_epochs=warm_epochs,
-        )
-    duration = watch.elapsed()
-    report = AdaptationReport.from_outcome(target_id, seed, outcome, len(inputs), duration)
-    outcome.result = None
-    return report, outcome, delta.snapshot()
-
-
-def _worker_adapt_stacked(
-    stack: list[tuple[str, np.ndarray, int, "RegressionModel | None"]],
-    warm_epochs: int | None,
-) -> tuple[list[tuple["AdaptationReport | None", "StrategyOutcome | None", "Exception | None"]], dict]:
-    """Run one stacked (``train_batching``) adaptation group inside a worker.
-
-    ``stack`` is a list of ``(target_id, inputs, seed, base_model)`` tuples
-    that travel together through
-    :meth:`~repro.engine.AdaptationStrategy.adapt_stacked` — batching
-    *within* this worker composes with processes *across* workers.
-    ``base_model`` is ``None`` for a cold adaptation from the shipped source
-    model; the streaming service sends a previously adapted model there (with
-    a ``warm_epochs`` schedule) for warm-start re-adaptations.  Per-job
-    failures come back as data (``(None, None, error)``) so one bad target
-    does not poison its stack-mates; the metrics delta rides home once per
-    stack.
-    """
-    source = _WORKER_STATE["source_model"]
-    strategy = _WORKER_STATE["strategy"]
-    jobs = [
-        StackJob(
-            model=copy.deepcopy(source if base_model is None else base_model),
-            inputs=inputs,
-            seed=seed,
-            target_id=target_id,
-        )
-        for target_id, inputs, seed, base_model in stack
-    ]
-    delta = MetricsRegistry()
-    watch = Stopwatch()
-    with use_metrics(delta):
-        outcomes = strategy.adapt_stacked(jobs, warm_epochs=warm_epochs)
-    duration = watch.elapsed()
-    results: list[tuple[AdaptationReport | None, StrategyOutcome | None, Exception | None]] = []
-    for (target_id, inputs, seed, _base), (outcome, error) in zip(stack, outcomes):
-        if error is not None:
-            results.append((None, None, error))
-            continue
-        report = AdaptationReport.from_outcome(target_id, seed, outcome, len(inputs), duration)
-        outcome.result = None
-        results.append((report, outcome, None))
+    results = run_task(
+        _WORKER_STATE["strategy"], _WORKER_STATE["source_model"], task, warm_epochs, delta
+    )
+    for _report, outcome, _error in results:
+        if outcome is not None:
+            outcome.result = None
     return results, delta.snapshot()
 
 
@@ -189,9 +192,9 @@ class AdaptationWorkerPool:
         :func:`default_start_method`.
     metrics:
         Optional parent :class:`~repro.obs.MetricsRegistry`.  When given,
-        worker metric deltas are merged into it by :meth:`collect`, and the
-        pool counts its own lifecycle events (tasks, restarts, killed
-        workers, crash errors) there.
+        worker metric deltas are merged into it as results are collected,
+        and the pool counts its own lifecycle events (tasks, restarts,
+        killed workers, crash errors) there.
     """
 
     def __init__(
@@ -218,36 +221,35 @@ class AdaptationWorkerPool:
             self.metrics.counter(name, value, **labels)
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
+        """A started pool: one awaited no-op task per worker spawns them all now.
+
+        ``ProcessPoolExecutor`` otherwise spawns on the first submit — from
+        whatever thread makes it (a gateway dispatch thread), billed to the
+        first adaptation.
+        """
+        pool = ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=multiprocessing.get_context(self.start_method),
             initializer=_init_worker,
             initargs=self._payload,
         )
+        for future in [pool.submit(_worker_ready) for _ in range(self.workers)]:
+            future.result()
+        return pool
 
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        target_id: str,
-        inputs: np.ndarray,
-        seed: int,
-        base_model: RegressionModel | None = None,
-        warm_epochs: int | None = None,
-    ) -> "Future[tuple[AdaptationReport, StrategyOutcome]]":
-        """Queue one adaptation; resolve the future with :meth:`collect`."""
+    def _submit(self, task: list[Job], warm_epochs: int | None) -> Future:
         with self._lock:
             if self._closed or self._pool is None:
                 raise WorkerCrashError("the adaptation worker pool is closed")
             pool = self._pool
         try:
-            future = pool.submit(
-                _worker_adapt, target_id, inputs, seed, base_model, warm_epochs
-            )
+            future = pool.submit(_worker_run, task, warm_epochs)
         except RuntimeError as exc:
             # The pool broke or was swapped out between the lock release and
-            # the submit; surface the same typed error collect() would.
+            # the submit; surface the same typed error a collect would.
             self._count("workers.crash_errors", stage="submit")
             raise WorkerCrashError(
                 "the adaptation worker pool died before the task was queued; retry"
@@ -255,69 +257,16 @@ class AdaptationWorkerPool:
         self._count("workers.tasks")
         return future
 
-    def collect(self, future: "Future") -> tuple[AdaptationReport, StrategyOutcome]:
-        """Resolve a :meth:`submit` future, translating pool-death failures.
+    def _results(self, future: Future) -> list[JobResult]:
+        """Resolve a task future, translating pool-death failures.
 
         ``CancelledError`` (queued when the pool was killed) and
         ``BrokenProcessPool`` (running when the pool was killed) both become
         :class:`WorkerCrashError` — an ``Exception`` the serving layer's
-        errors-as-data discipline knows how to answer.  Genuine adaptation
-        errors raised inside the worker (e.g.
-        :class:`~repro.core.adapter.NoConfidentSamplesError`) re-raise
-        unchanged, exactly as the in-process path would raise them.
-
-        The worker's piggybacked metrics delta is folded into the pool's
-        parent registry here (the one place every successful result passes
-        through), then dropped from the returned pair.
+        errors-as-data discipline knows how to answer.  The worker's
+        piggybacked metrics delta is folded into the parent registry here,
+        the one place every result passes through.
         """
-        try:
-            report, outcome, delta = future.result()
-        except (CancelledError, BrokenProcessPool) as exc:
-            self._count("workers.crash_errors", stage="collect")
-            raise WorkerCrashError(
-                "the worker pool was killed while this adaptation was in flight; "
-                "adaptation is deterministic, so retrying on the respawned pool "
-                "reproduces the same result"
-            ) from exc
-        if self.metrics is not None:
-            self.metrics.merge(delta)
-        return report, outcome
-
-    def adapt(
-        self,
-        target_id: str,
-        inputs: np.ndarray,
-        seed: int,
-        base_model: RegressionModel | None = None,
-        warm_epochs: int | None = None,
-    ) -> tuple[AdaptationReport, StrategyOutcome]:
-        """Synchronous submit-and-collect convenience."""
-        return self.collect(self.submit(target_id, inputs, seed, base_model, warm_epochs))
-
-    def submit_stacked(
-        self,
-        stack: list[tuple[str, np.ndarray, int, "RegressionModel | None"]],
-        warm_epochs: int | None = None,
-    ) -> "Future":
-        """Queue one ``train_batching`` stack; resolve with :meth:`collect_stacked`."""
-        with self._lock:
-            if self._closed or self._pool is None:
-                raise WorkerCrashError("the adaptation worker pool is closed")
-            pool = self._pool
-        try:
-            future = pool.submit(_worker_adapt_stacked, stack, warm_epochs)
-        except RuntimeError as exc:
-            self._count("workers.crash_errors", stage="submit")
-            raise WorkerCrashError(
-                "the adaptation worker pool died before the task was queued; retry"
-            ) from exc
-        self._count("workers.tasks")
-        return future
-
-    def collect_stacked(
-        self, future: "Future"
-    ) -> list[tuple["AdaptationReport | None", "StrategyOutcome | None", "Exception | None"]]:
-        """Resolve a :meth:`submit_stacked` future (same crash translation as :meth:`collect`)."""
         try:
             results, delta = future.result()
         except (CancelledError, BrokenProcessPool) as exc:
@@ -331,11 +280,47 @@ class AdaptationWorkerPool:
             self.metrics.merge(delta)
         return results
 
+    def submit(
+        self,
+        target_id: str,
+        inputs: np.ndarray,
+        seed: int,
+        base_model: RegressionModel | None = None,
+        warm_epochs: int | None = None,
+    ) -> Future:
+        """Queue one adaptation; resolve the future with :meth:`collect`."""
+        return self._submit([(target_id, inputs, seed, base_model)], warm_epochs)
+
+    def collect(self, future: Future) -> tuple[AdaptationReport, StrategyOutcome]:
+        """Resolve a :meth:`submit` future to ``(report, outcome)``.
+
+        Adaptation errors raised inside the worker (e.g.
+        :class:`~repro.core.adapter.NoConfidentSamplesError`) re-raise
+        unchanged, exactly as the in-process path would raise them.
+        """
+        [(report, outcome, error)] = self._results(future)
+        if error is not None:
+            raise error
+        return report, outcome
+
+    def submit_stacked(self, stack: list[Job], warm_epochs: int | None = None) -> Future:
+        """Queue one task of ``(target_id, inputs, seed, base_model)`` jobs.
+
+        Resolve it with :meth:`collect_stacked`.  A multi-job task is one
+        stacked (``train_batching``) fine-tune inside the worker — batching
+        *within* a worker composes with processes *across* workers.
+        """
+        return self._submit(stack, warm_epochs)
+
+    def collect_stacked(self, future: Future) -> list[JobResult]:
+        """Resolve a :meth:`submit_stacked` future to one result per job."""
+        return self._results(future)
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def worker_pids(self) -> list[int]:
-        """PIDs of the live worker processes (spawned lazily on first submit)."""
+        """PIDs of the live worker processes (all spawned at pool start)."""
         with self._lock:
             pool = self._pool
         if pool is None:
@@ -344,13 +329,13 @@ class AdaptationWorkerPool:
         return sorted(p.pid for p in processes.values() if p.pid is not None)
 
     def restart(self) -> list[int]:
-        """Kill the worker processes and stand up a fresh pool.
+        """Kill the worker processes and stand up a fresh, started pool.
 
         Models a crashed-and-respawned worker fleet, so it terminates the
         processes instead of draining them.  Futures that were queued or
         running raise (``CancelledError`` / ``BrokenProcessPool``, both
-        translated by :meth:`collect`) rather than hang.  Returns the PIDs
-        that were killed.
+        translated into :class:`WorkerCrashError`) rather than hang.
+        Returns the PIDs that were killed.
         """
         with self._lock:
             if self._closed:

@@ -31,9 +31,8 @@ the same stream reproduces the same events, models, and reports bit for bit.
 
 from __future__ import annotations
 
-import copy
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from threading import Lock
 from typing import Iterable, Mapping
@@ -45,10 +44,10 @@ from ..core.config import TasfarConfig
 from ..core.density_map import LabelDensityMap
 from ..core.estimator import LabelDistributionEstimator
 from ..engine.rng import PROBE_STREAM, stream_seed_sequence
-from ..engine.strategy import AdaptationStrategy, StackJob, StrategyOutcome
+from ..engine.strategy import AdaptationStrategy, StrategyOutcome
 from ..nn.losses import Loss
 from ..nn.models import RegressionModel
-from ..obs import MetricsRegistry, Stopwatch, use_metrics
+from ..obs import MetricsRegistry, Stopwatch
 from ..runtime.report import AdaptationReport
 from ..runtime.service import AdaptationService, canonical_target_id
 from ..runtime.snapshots import (
@@ -61,6 +60,14 @@ from ..uncertainty.mc_dropout import MCDropoutPredictor
 from .drift import DensityDriftMonitor, DriftDetector
 
 __all__ = ["StreamEvent", "StreamingAdaptationService"]
+
+
+def _checked_batch(batch: np.ndarray) -> np.ndarray:
+    """One ingest batch as float64, rejecting empty or feature-less input."""
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim < 2 or len(batch) == 0:
+        raise ValueError("batch must be a non-empty array of shape (n_events, ...features)")
+    return batch
 
 
 @dataclass
@@ -139,15 +146,17 @@ class _TargetStream:
 
 @dataclass
 class _PendingIngest:
-    """One target's ingest decision, frozen before any (stacked) adaptation.
+    """One target's ingest decision, frozen before any adaptation runs.
 
-    The stacked ``train_batching`` path splits :meth:`ingest` in two: a
-    *decide* phase that buffers the batch, probes for drift, and snapshots
-    everything an adaptation would consume (inputs, seed, warm base model),
-    and a *commit* phase after the grouped fine-tune.  This record carries
-    the decision between the phases; only its owning target's state is ever
-    referenced, which is what makes the phase split equivalent to serial
-    per-target ingestion.
+    Every ingest is *decide* (buffer the batch, probe for drift, snapshot
+    everything an adaptation would consume: inputs, seed, warm base model),
+    *adapt* (one task on the service's runner), *commit* and *record*.
+    :meth:`~StreamingAdaptationService.ingest` runs the phases back to back
+    under the stream lock; the stacked ``train_batching`` path decides a
+    whole wave first and then trains the due adaptations together.  This
+    record carries the decision between the phases; only its owning
+    target's state is ever referenced, which is what makes the phase split
+    equivalent to serial per-target ingestion.
     """
 
     target_id: str
@@ -306,116 +315,40 @@ class StreamingAdaptationService(AdaptationService):
         log is available via :meth:`events_for`.
         """
         target_id = canonical_target_id(target_id)
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim < 2 or len(batch) == 0:
-            raise ValueError(
-                "batch must be a non-empty array of shape (n_events, ...features)"
-            )
+        batch = _checked_batch(batch)
         state = self._stream_state(target_id)
         with state.lock:
-            watch = Stopwatch()
-            state.step += 1
-            state.buffer.append(batch)
-            state.n_buffered += len(batch)
-            state.total_events += len(batch)
-            self.metrics.counter("stream.ingest_batches")
-            self.metrics.counter("stream.ingest_events", len(batch))
-            # Bound the buffer: drop the oldest batches (never the newest)
-            # so a target whose adaptations keep failing can't hoard the
-            # whole stream in memory.
-            while state.n_buffered > self.max_buffer_events and len(state.buffer) > 1:
-                dropped = state.buffer.pop(0)
-                state.n_buffered -= len(dropped)
-                self.metrics.counter("stream.buffer_dropped_events", len(dropped))
-
-            action, trigger = "buffered", None
-            observation = None
-            adapted = (state.n_cold + state.n_warm) > 0
-            if not adapted:
-                if state.n_buffered >= self.min_adapt_events:
-                    action = self._try_adapt_from_buffer(target_id, state, base_model=None)
-                    trigger = "warmup"
-            else:
-                # state.monitor can be None for an adapted target when no
-                # reference density map could be estimated (non-TASFAR scheme,
-                # nothing confident in the window): drift detection is then
-                # unavailable and re-adaptation falls back to budget-only.
-                if state.monitor is not None:
-                    observation = self._probe(target_id, state, batch)
-                    if observation is not None:
-                        self.metrics.counter("stream.drift.observations")
-                        if observation.drifted:
-                            self.metrics.counter("stream.drift.detections")
-                drifted = observation is not None and observation.drifted
-                if drifted or state.n_buffered >= self.readapt_budget:
-                    trigger = "drift" if drifted else "budget"
-                    # One lookup decides warm-vs-cold AND supplies the warm
-                    # base model, so a concurrent eviction between "check"
-                    # and "use" can't sneak a short warm schedule onto the
-                    # source model.
-                    base_model = self.model_for(target_id)
-                    action = self._try_adapt_from_buffer(target_id, state, base_model=base_model)
-
-            event = StreamEvent(
-                target_id=target_id,
-                step=state.step,
-                n_events=len(batch),
-                total_events=state.total_events,
-                buffered=state.n_buffered,
-                action=action,
-                trigger=trigger,
-                drift_distance=None if observation is None else float(observation.distance),
-                drift_statistic=None if observation is None else float(observation.statistic),
-                drifted=observation is not None and observation.drifted,
-                duration_seconds=watch.elapsed(),
-            )
-            state.events.append(event)
-            self.metrics.counter("stream.actions", action=event.action)
-            self.metrics.observe("stream.ingest_seconds", event.duration_seconds)
-            return event
+            pending = self._decide_locked(target_id, state, batch)
+            if pending.due:
+                self._adapt_pending([[pending]], pending.warm, locked=True)
+            return self._record_event_locked(pending)
 
     def ingest_many(
         self,
         batches: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]],
-        jobs: int = 1,
         train_batching: int = 1,
     ) -> dict[str, StreamEvent]:
-        """Ingest one batch for each of several targets, optionally pooled.
+        """Ingest one batch for each of several targets.
 
-        Mirrors :meth:`~repro.runtime.AdaptationService.adapt_many`: per-target
-        state has its own lock and all seeding is per-target, so any ``jobs``
-        value produces the same per-target event sequence as serial ingestion
-        — provided ``max_cached_models`` covers the active fleet.  With fewer
-        cache slots than streaming targets, which model is evicted (and hence
-        whether a re-adaptation starts warm or cold) depends on the thread
-        interleaving, so size the cache to the fleet when reproducibility
-        matters.
+        With ``train_batching=1`` this is :meth:`ingest` per item, in input
+        order (adaptations run wherever the service's runner puts them: in
+        process, or on the attached worker pool).
 
         ``train_batching=K > 1`` groups the (re-)adaptations this call
         triggers — a drift-driven re-adapt storm, a cold-start wave — into
         stacked fine-tunes of up to K targets (warm and cold rounds stacked
         separately, since they run different epoch schedules), bit-identical
-        to serial ingestion.  Decision logic (buffering, drift probes,
-        triggers) still runs per target in input order; only the training
-        is batched, on the calling thread or on the attached process worker
-        pool.  ``jobs`` is a thread-pool knob for the *unstacked* path and
-        is ignored when ``train_batching > 1``.  Raises :class:`ValueError`
-        when the scheme or model cannot stack — no silent fallback.
+        to serial ingestion provided ``max_cached_models`` covers the active
+        fleet.  Decision logic (buffering, drift probes, triggers) still runs
+        per target in input order; only the training is batched.  Raises
+        :class:`ValueError` when the scheme or model cannot stack — no
+        silent fallback.
         """
         items = list(batches.items()) if isinstance(batches, Mapping) else list(batches)
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
         train_batching = self.check_train_batching(train_batching)
         if train_batching > 1 and len(items) > 1:
             return self._ingest_many_stacked(items, train_batching)
-        if jobs == 1 or len(items) <= 1:
-            return {canonical_target_id(tid): self.ingest(tid, batch) for tid, batch in items}
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(self.ingest, tid, batch) for tid, batch in items]
-            return {
-                canonical_target_id(tid): future.result()
-                for (tid, _), future in zip(items, futures)
-            }
+        return {canonical_target_id(tid): self.ingest(tid, batch) for tid, batch in items}
 
     def _ingest_many_stacked(
         self, items: list[tuple[str, np.ndarray]], train_batching: int
@@ -451,16 +384,22 @@ class StreamingAdaptationService(AdaptationService):
         events: dict[str, StreamEvent],
     ) -> None:
         """Decide every target in the wave, then run the due adaptations stacked."""
-        pendings = [self._ingest_decide(tid, batch) for tid, batch in wave]
+        pendings = []
+        for tid, batch in wave:
+            batch = _checked_batch(batch)
+            state = self._stream_state(tid)
+            with state.lock:
+                pendings.append(self._decide_locked(tid, state, batch))
         due = [pending for pending in pendings if pending.due]
         for warm in (False, True):
             # Warm and cold rounds never share a stack: they train under
             # different epoch schedules (and from different start models).
             group = [pending for pending in due if pending.warm is warm]
-            for start in range(0, len(group), train_batching):
-                self._adapt_pending_stack(group[start : start + train_batching], warm)
+            stacks = range(0, len(group), train_batching)
+            self._adapt_pending([group[start : start + train_batching] for start in stacks], warm)
         for pending in pendings:
-            events[pending.target_id] = self._ingest_finalize(pending)
+            with pending.state.lock:
+                events[pending.target_id] = self._record_event_locked(pending)
 
     # ------------------------------------------------------------------
     # Internals
@@ -581,56 +520,59 @@ class StreamingAdaptationService(AdaptationService):
         assert state.monitor is not None
         return state.monitor.observe(prediction.mean[confident], sigmas)
 
-    def _ingest_decide(self, target_id: str, batch: np.ndarray) -> _PendingIngest:
-        """The decision half of :meth:`ingest`, with the adaptation deferred.
+    def _decide_locked(
+        self, target_id: str, state: _TargetStream, batch: np.ndarray
+    ) -> _PendingIngest:
+        """The decision phase of an ingest (caller holds ``state.lock``).
 
         Buffers the batch, updates the drift monitor, and decides whether an
-        adaptation is due — mirroring :meth:`ingest` up to (but excluding)
-        the training itself, whose inputs/seed/base-model are snapshotted
-        onto the returned :class:`_PendingIngest` for the stacked runner.
+        adaptation is due; a due adaptation's inputs, seed and base model are
+        snapshotted onto the returned :class:`_PendingIngest`.
         """
-        target_id = canonical_target_id(target_id)
-        batch = np.asarray(batch, dtype=np.float64)
-        if batch.ndim < 2 or len(batch) == 0:
-            raise ValueError(
-                "batch must be a non-empty array of shape (n_events, ...features)"
-            )
-        state = self._stream_state(target_id)
-        with state.lock:
-            watch = Stopwatch()
-            state.step += 1
-            state.buffer.append(batch)
-            state.n_buffered += len(batch)
-            state.total_events += len(batch)
-            self.metrics.counter("stream.ingest_batches")
-            self.metrics.counter("stream.ingest_events", len(batch))
-            while state.n_buffered > self.max_buffer_events and len(state.buffer) > 1:
-                dropped = state.buffer.pop(0)
-                state.n_buffered -= len(dropped)
-                self.metrics.counter("stream.buffer_dropped_events", len(dropped))
-            pending = _PendingIngest(
-                target_id=target_id,
-                state=state,
-                watch=watch,
-                step=state.step,
-                n_events=len(batch),
-            )
-            adapted = (state.n_cold + state.n_warm) > 0
-            if not adapted:
-                if state.n_buffered >= self.min_adapt_events:
-                    pending.trigger = "warmup"
-                    self._mark_due(pending, base_model=None)
-            else:
-                if state.monitor is not None:
-                    pending.observation = self._probe(target_id, state, batch)
-                    if pending.observation is not None:
-                        self.metrics.counter("stream.drift.observations")
-                        if pending.observation.drifted:
-                            self.metrics.counter("stream.drift.detections")
-                drifted = pending.observation is not None and pending.observation.drifted
-                if drifted or state.n_buffered >= self.readapt_budget:
-                    pending.trigger = "drift" if drifted else "budget"
-                    self._mark_due(pending, base_model=self.model_for(target_id))
+        watch = Stopwatch()
+        state.step += 1
+        state.buffer.append(batch)
+        state.n_buffered += len(batch)
+        state.total_events += len(batch)
+        self.metrics.counter("stream.ingest_batches")
+        self.metrics.counter("stream.ingest_events", len(batch))
+        # Bound the buffer: drop the oldest batches (never the newest) so a
+        # target whose adaptations keep failing can't hoard the whole stream
+        # in memory.
+        while state.n_buffered > self.max_buffer_events and len(state.buffer) > 1:
+            dropped = state.buffer.pop(0)
+            state.n_buffered -= len(dropped)
+            self.metrics.counter("stream.buffer_dropped_events", len(dropped))
+        pending = _PendingIngest(
+            target_id=target_id,
+            state=state,
+            watch=watch,
+            step=state.step,
+            n_events=len(batch),
+        )
+        adapted = (state.n_cold + state.n_warm) > 0
+        if not adapted:
+            if state.n_buffered >= self.min_adapt_events:
+                pending.trigger = "warmup"
+                self._mark_due(pending, base_model=None)
+            return pending
+        # state.monitor can be None for an adapted target when no reference
+        # density map could be estimated (non-TASFAR scheme, nothing
+        # confident in the window): drift detection is then unavailable and
+        # re-adaptation falls back to budget-only.
+        if state.monitor is not None:
+            pending.observation = self._probe(target_id, state, batch)
+            if pending.observation is not None:
+                self.metrics.counter("stream.drift.observations")
+                if pending.observation.drifted:
+                    self.metrics.counter("stream.drift.detections")
+        drifted = pending.observation is not None and pending.observation.drifted
+        if drifted or state.n_buffered >= self.readapt_budget:
+            pending.trigger = "drift" if drifted else "budget"
+            # One lookup decides warm-vs-cold AND supplies the warm base
+            # model, so a concurrent eviction between "check" and "use"
+            # can't sneak a short warm schedule onto the source model.
+            self._mark_due(pending, base_model=self.model_for(target_id))
         return pending
 
     def _mark_due(self, pending: _PendingIngest, base_model: RegressionModel | None) -> None:
@@ -648,215 +590,124 @@ class StreamingAdaptationService(AdaptationService):
         pending.round_index = state.n_cold + state.n_warm
         pending.seed = self.target_seed(f"{pending.target_id}#round{pending.round_index}")
 
-    def _adapt_pending_stack(self, group: list[_PendingIngest], warm: bool) -> None:
-        """Run one stacked group of due (re-)adaptations and commit each.
+    def _adapt_pending(
+        self, groups: list[list[_PendingIngest]], warm: bool, locked: bool = False
+    ) -> None:
+        """Run due (re-)adaptations, one task per group, and commit each success.
 
-        Mirrors the accounting of the serial seam
-        (:meth:`~repro.runtime.AdaptationService._run_adaptation` +
-        :meth:`_commit_adaptation`): one ``service.adaptations`` count per
-        success, one latency sample per stack (the jobs shared a wall
-        clock).  A per-job :class:`~repro.core.NoConfidentSamplesError`
-        becomes ``adapt_failed`` with the buffer kept, exactly as serial;
-        any other error propagates.
+        The service's runner and settle step do the work and the accounting
+        (one ``service.adaptations`` count per success, one latency sample
+        per task).  TASFAR cannot adapt when *no* buffered sample clears the
+        confidence threshold (e.g. a window dominated by a sensor glitch):
+        that per-job :class:`~repro.core.NoConfidentSamplesError` becomes
+        ``adapt_failed`` with the buffer kept, so the next ingest retries
+        once more confident data has arrived; any other error propagates.
+        ``locked`` says the caller already holds the stream lock of the
+        (single) pending target.
         """
-        if not group:
-            return
-        warm_epochs = self.warm_epochs if warm else None
-        mode = "warm" if warm else "cold"
-        pool = self._worker_pool
-        if pool is not None:
-            stack = [
-                (pending.target_id, pending.inputs, pending.seed, pending.base_model)
-                for pending in group
-            ]
-            trios = pool.collect_stacked(pool.submit_stacked(stack, warm_epochs))
-        else:
-            jobs = [
-                StackJob(
-                    model=copy.deepcopy(
-                        pending.base_model if pending.warm else self._source_model
-                    ),
-                    inputs=pending.inputs,
-                    seed=pending.seed,
-                    target_id=pending.target_id,
-                )
-                for pending in group
-            ]
-            watch = Stopwatch()
-            with use_metrics(self.metrics if self.metrics.enabled else None):
-                outcomes = self.strategy.adapt_stacked(jobs, warm_epochs=warm_epochs)
-            duration = watch.elapsed()
-            trios = []
-            for pending, (outcome, error) in zip(group, outcomes):
-                if error is not None:
-                    trios.append((None, None, error))
-                else:
-                    report = AdaptationReport.from_outcome(
-                        pending.target_id, pending.seed, outcome, len(pending.inputs), duration
-                    )
-                    trios.append((report, outcome, None))
-        observed = False
-        for pending, (report, outcome, error) in zip(group, trios):
-            if error is not None:
-                if isinstance(error, NoConfidentSamplesError):
-                    pending.action = "adapt_failed"
-                    continue
-                raise error
-            self.metrics.counter("service.adaptations", mode=mode)
-            if not observed:
-                # One latency sample per stack (shared wall clock).
-                self.metrics.observe(
-                    "service.adapt_seconds", report.duration_seconds, mode=mode
-                )
-                observed = True
-            with pending.state.lock:
-                self._commit_adaptation(
-                    pending.target_id,
-                    pending.state,
-                    pending.inputs,
-                    pending.n_snapshot,
-                    pending.warm,
-                    pending.round_index,
-                    report,
-                    outcome,
-                )
-            pending.action = "warm_adapt" if pending.warm else "cold_adapt"
-
-    def _ingest_finalize(self, pending: _PendingIngest) -> StreamEvent:
-        """Record the :class:`StreamEvent` for one decided-and-settled ingest."""
-        state = pending.state
-        with state.lock:
-            observation = pending.observation
-            event = StreamEvent(
-                target_id=pending.target_id,
-                step=pending.step,
-                n_events=pending.n_events,
-                total_events=state.total_events,
-                buffered=state.n_buffered,
-                action=pending.action,
-                trigger=pending.trigger,
-                drift_distance=None if observation is None else float(observation.distance),
-                drift_statistic=None if observation is None else float(observation.statistic),
-                drifted=observation is not None and observation.drifted,
-                duration_seconds=pending.watch.elapsed(),
+        tasks = [
+            [(p.target_id, p.inputs, p.seed, p.base_model) for p in group] for group in groups
+        ]
+        results = self._run_tasks(tasks, self.warm_epochs if warm else None)
+        for group, task, task_results in zip(groups, tasks, results):
+            settled = self._settle(
+                task,
+                task_results,
+                "warm" if warm else "cold",
+                publish=lambda index, report, outcome: self._commit_adaptation(
+                    group[index], report, outcome, locked  # noqa: B023 - runs in this iteration
+                ),
             )
-            state.events.append(event)
+            for pending, (_report, error) in zip(group, settled):
+                if error is None:
+                    pending.action = "warm_adapt" if warm else "cold_adapt"
+                elif isinstance(error, NoConfidentSamplesError):
+                    pending.action = "adapt_failed"
+                else:
+                    raise error
+
+    def _record_event_locked(self, pending: _PendingIngest) -> StreamEvent:
+        """Record the :class:`StreamEvent` of one settled ingest (caller holds its lock)."""
+        state = pending.state
+        observation = pending.observation
+        event = StreamEvent(
+            target_id=pending.target_id,
+            step=pending.step,
+            n_events=pending.n_events,
+            total_events=state.total_events,
+            buffered=state.n_buffered,
+            action=pending.action,
+            trigger=pending.trigger,
+            drift_distance=None if observation is None else float(observation.distance),
+            drift_statistic=None if observation is None else float(observation.statistic),
+            drifted=observation is not None and observation.drifted,
+            duration_seconds=pending.watch.elapsed(),
+        )
+        state.events.append(event)
         self.metrics.counter("stream.actions", action=event.action)
         self.metrics.observe("stream.ingest_seconds", event.duration_seconds)
         return event
 
-    def _try_adapt_from_buffer(
-        self, target_id: str, state: _TargetStream, base_model: RegressionModel | None
-    ) -> str:
-        """Attempt a (re-)adaptation; returns the resulting event action.
-
-        TASFAR cannot adapt when *no* buffered sample clears the confidence
-        threshold (e.g. a window dominated by a sensor glitch).  Rather than
-        crashing the stream, such an attempt is recorded as ``adapt_failed``
-        and the buffer is kept — the next batches retry once more confident
-        data has arrived.  Only that specific condition is absorbed; any
-        other error still propagates.
-        """
-        report = self._adapt_from_buffer(target_id, state, base_model=base_model)
-        if report is None:
-            return "adapt_failed"
-        return "warm_adapt" if base_model is not None else "cold_adapt"
-
-    def _adapt_from_buffer(
-        self, target_id: str, state: _TargetStream, base_model: RegressionModel | None
-    ) -> AdaptationReport | None:
-        """(Re-)adapt from the buffered window, then reset buffer and monitor.
-
-        ``base_model`` selects the mode: an adapted model to warm-start from
-        (fine-tuned with the short ``warm_epochs`` schedule), or ``None`` for
-        a cold adaptation from the source model.  Returns ``None`` — leaving
-        buffer and monitor untouched — when TASFAR aborts because the window
-        has no confident samples (the abort happens before any training, so
-        retrying on the next ingest is cheap).
-        """
-        inputs = (
-            state.buffer[0]
-            if len(state.buffer) == 1
-            else np.concatenate(state.buffer, axis=0)
-        )
-        warm = base_model is not None
-        round_index = state.n_cold + state.n_warm
-        seed = self.target_seed(f"{target_id}#round{round_index}")
-        try:
-            report, outcome = self._run_adaptation(
-                target_id,
-                inputs,
-                seed,
-                base_model=base_model,
-                warm_epochs=self.warm_epochs if warm else None,
-            )
-        except NoConfidentSamplesError:
-            return None
-        return self._commit_adaptation(
-            target_id, state, inputs, len(state.buffer), warm, round_index, report, outcome
-        )
-
     def _commit_adaptation(
         self,
-        target_id: str,
-        state: _TargetStream,
-        inputs: np.ndarray,
-        n_batches: int,
-        warm: bool,
-        round_index: int,
+        pending: _PendingIngest,
         report: AdaptationReport,
         outcome: StrategyOutcome,
-    ) -> AdaptationReport:
+        locked: bool,
+    ) -> None:
         """Publish one finished (re-)adaptation: report, model, monitor, buffer.
 
-        ``n_batches`` is how many leading buffer entries the adaptation
-        consumed — the whole buffer on the serial path, the decision-time
-        snapshot on the stacked path (batches ingested concurrently since
-        the snapshot must survive for the next round).
+        Only the decision-time snapshot of the buffer is consumed: batches
+        ingested since (concurrently, on the stacked path) survive for the
+        next round.  Takes the target's stream lock unless ``locked``.
         """
-        density_map = outcome.density_map
-        if density_map is None:
-            # The scheme does not estimate a label density map itself (any
-            # non-TASFAR strategy).  The drift monitor wants a reference map
-            # of "what the freshly adapted model believes", so estimate one
-            # by probing the adapted model on the adaptation window.
-            density_map = self._reference_density_map(
-                target_id, round_index, outcome.target_model, inputs
-            )
-        report.extra["round"] = round_index
-        report.extra["mode"] = "warm" if warm else "cold"
-        report.extra["drift_reference"] = density_map is not None
-        self._store_result(target_id, report, outcome.target_model)
-        if density_map is None:
-            # The fine-tune itself succeeded — publish the model rather than
-            # throw the paid-for training away (TASFAR's equivalent failure
-            # aborts *before* training, which is why it is treated as
-            # ``adapt_failed`` instead).  Until a future adaptation yields a
-            # reference map, drift detection is unavailable for this target
-            # and re-adaptation is budget-triggered only.
-            state.monitor = None
-        elif state.monitor is None:
-            state.monitor = DensityDriftMonitor(
-                density_map,
-                DriftDetector(self.drift_threshold, self.drift_delta, self.drift_min_batches),
-                window_decay=self.window_decay,
-                warmup_events=self.drift_warmup_events,
-                error_model=self._sigma_estimator.error_model,
-            )
-        else:
-            state.monitor.rebase(density_map)
-        del state.buffer[:n_batches]
-        state.n_buffered = sum(len(batch) for batch in state.buffer)
-        if warm:
-            state.n_warm += 1
-        else:
-            state.n_cold += 1
-        if self.snapshot_store is not None:
-            # Refresh the spill fallback while we legitimately hold the
-            # stream lock: a concurrent eviction that cannot take this lock
-            # spills this committed capture instead of skipping the target.
-            state.spill_cache = self._encode_stream_state(state)
-        return report
+        target_id, state = pending.target_id, pending.state
+        with nullcontext() if locked else state.lock:
+            density_map = outcome.density_map
+            if density_map is None:
+                # The scheme does not estimate a label density map itself
+                # (any non-TASFAR strategy).  The drift monitor wants a
+                # reference map of "what the freshly adapted model
+                # believes", so estimate one by probing the adapted model on
+                # the adaptation window.
+                density_map = self._reference_density_map(
+                    target_id, pending.round_index, outcome.target_model, pending.inputs
+                )
+            report.extra["round"] = pending.round_index
+            report.extra["mode"] = "warm" if pending.warm else "cold"
+            report.extra["drift_reference"] = density_map is not None
+            self._store_result(target_id, report, outcome.target_model)
+            if density_map is None:
+                # The fine-tune itself succeeded — publish the model rather
+                # than throw the paid-for training away (TASFAR's equivalent
+                # failure aborts *before* training, which is why it is
+                # treated as ``adapt_failed`` instead).  Until a future
+                # adaptation yields a reference map, drift detection is
+                # unavailable for this target and re-adaptation is
+                # budget-triggered only.
+                state.monitor = None
+            elif state.monitor is None:
+                state.monitor = DensityDriftMonitor(
+                    density_map,
+                    DriftDetector(self.drift_threshold, self.drift_delta, self.drift_min_batches),
+                    window_decay=self.window_decay,
+                    warmup_events=self.drift_warmup_events,
+                    error_model=self._sigma_estimator.error_model,
+                )
+            else:
+                state.monitor.rebase(density_map)
+            del state.buffer[: pending.n_snapshot]
+            state.n_buffered = sum(len(batch) for batch in state.buffer)
+            if pending.warm:
+                state.n_warm += 1
+            else:
+                state.n_cold += 1
+            if self.snapshot_store is not None:
+                # Refresh the spill fallback while we legitimately hold the
+                # stream lock: a concurrent eviction that cannot take this
+                # lock spills this committed capture instead of skipping the
+                # target.
+                state.spill_cache = self._encode_stream_state(state)
 
     def _reference_density_map(
         self,

@@ -3,12 +3,10 @@
 The tentpole claim of the process executor is *bit-identity*: an adaptation
 that ran inside a worker process must hand back the very same floats — losses,
 parameters, density maps — as the same adaptation run in-process, for every
-scheme in the registry.  These tests pin that claim, plus the crash semantics
-(killed pools raise typed errors instead of hanging) and the honesty warning
-on the GIL-bound thread executor.
+scheme in the registry.  These tests pin that claim, plus the pool lifecycle (workers spawn at pool
+start and at restart) and the crash semantics (killed pools raise typed
+errors instead of hanging).
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -49,11 +47,6 @@ class TestExecutorSelection:
     def test_executor_kinds(self):
         assert EXECUTOR_KINDS == ("thread", "process")
 
-    def test_unknown_executor_rejected(self, source):
-        service = build_service(source)
-        with pytest.raises(ValueError, match="executor"):
-            service.adapt_many(make_targets(n_targets=2), jobs=2, executor="fiber")
-
     def test_default_is_thread_until_pool_attached(self, source):
         service = build_service(source)
         assert service.executor == "thread"
@@ -67,7 +60,7 @@ class TestExecutorSelection:
 
 @pytest.mark.parametrize("scheme", sorted(strategy_names()))
 class TestProcessBitIdentity:
-    """``adapt_many(jobs=4, executor="process")`` == serial, for all six schemes."""
+    """``adapt_many(jobs=4)`` on worker processes == serial, for all six schemes."""
 
     def test_process_pool_matches_serial_bitwise(self, scheme, source):
         model, calibration = source
@@ -81,7 +74,7 @@ class TestProcessBitIdentity:
         pooled = AdaptationService(
             model, calibration, fast_config(), strategy=prepared_strategy(scheme, source)
         )
-        pooled_reports = pooled.adapt_many(targets, jobs=4, executor="process")
+        pooled_reports = pooled.adapt_many(targets, jobs=4)
 
         assert list(serial_reports) == list(pooled_reports)
         probe = np.random.default_rng(0).normal(size=(16, 4))
@@ -170,7 +163,7 @@ class TestPoolCrashSemantics:
             # Warm the pool so the worker exists, then bury it in work and
             # kill it: every outstanding future must resolve (queued ones
             # cancelled, the running one broken), all as WorkerCrashError.
-            pool.adapt("warm", data, seed=0)
+            pool.collect(pool.submit("warm", data, seed=0))
             futures = [pool.submit(f"t{i}", data, seed=i) for i in range(6)]
             pool.restart()
             failures = 0
@@ -181,7 +174,7 @@ class TestPoolCrashSemantics:
                     failures += 1
             assert failures > 0, "restart with queued work should break some futures"
             # The respawned pool serves the same request to the same bits.
-            report, _ = pool.adapt("warm", data, seed=0)
+            report, _ = pool.collect(pool.submit("warm", data, seed=0))
             assert report.target_id == "warm"
         finally:
             pool.close()
@@ -192,20 +185,17 @@ class TestPoolCrashSemantics:
             AdaptationWorkerPool(0, model, prepared_strategy("tasfar", source))
 
 
-class TestThreadExecutorWarning:
-    def test_thread_executor_warns_once_per_service(self, source):
+class TestEagerStart:
+    def test_workers_are_live_before_any_adaptation(self, source):
         service = build_service(source)
-        targets = make_targets(n_targets=2)
-        with pytest.warns(RuntimeWarning, match="no speedup"):
-            service.adapt_many(targets, jobs=2, executor="thread")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            service.adapt_many(targets, jobs=2, executor="thread")
-
-    def test_serial_and_process_paths_do_not_warn(self, source):
-        service = build_service(source)
-        targets = make_targets(n_targets=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            service.adapt_many(targets, jobs=1)
-            service.adapt_many(targets, jobs=2, executor="process")
+        pool = service.use_process_workers(2)
+        try:
+            pids = pool.worker_pids()
+            assert len(pids) == 2, "both workers spawn when the pool is attached"
+            killed = service.restart_workers()
+            assert killed == pids
+            respawned = pool.worker_pids()
+            assert len(respawned) == 2, "restart respawns every worker before returning"
+            assert set(respawned).isdisjoint(pids)
+        finally:
+            service.close()

@@ -60,10 +60,7 @@ class TestParallelEqualsSerial:
         serial = build_service(source)
         serial_reports = serial.adapt_many(targets, jobs=1)
         parallel = build_service(source)
-        # The GIL-bound thread executor is still supported (and must stay
-        # bit-identical); it just warns once that it buys no speedup.
-        with pytest.warns(RuntimeWarning, match="thread executor"):
-            parallel_reports = parallel.adapt_many(targets, jobs=4)
+        parallel_reports = parallel.adapt_many(targets, jobs=4)  # worker processes
 
         assert list(serial_reports) == list(parallel_reports)
         probe = np.random.default_rng(0).normal(size=(16, 4))
@@ -202,8 +199,7 @@ class TestInputs:
         service = build_service(source)
         targets = make_targets(n_targets=3)
         pairs = list(targets.items())[::-1]
-        with pytest.warns(RuntimeWarning, match="thread executor"):
-            reports = service.adapt_many(pairs, jobs=2)
+        reports = service.adapt_many(pairs, jobs=2)
         assert list(reports) == [name for name, _ in pairs]
 
     def test_invalid_jobs_rejected(self, source):
@@ -250,8 +246,7 @@ class TestTargetIdCoercion:
         data = make_targets(n_targets=1)["user_00"]
         reports = service.adapt_many([(7, data)], jobs=1)
         assert list(reports) == ["7"]
-        with pytest.warns(RuntimeWarning, match="thread executor"):
-            reports = service.adapt_many([(8, data), (9, data)], jobs=2)
+        reports = service.adapt_many([(8, data), (9, data)], jobs=2)
         assert list(reports) == ["8", "9"]
 
     def test_strict_errors_name_the_canonical_id(self, source):
@@ -312,9 +307,8 @@ class TestConcurrentEvictionRaces:
         for reader in readers:
             reader.start()
         try:
-            with pytest.warns(RuntimeWarning, match="thread executor"):
-                for _ in range(2):
-                    service.adapt_many(fleet, jobs=4)
+            for _ in range(2):
+                service.adapt_many(fleet, jobs=4)
         finally:
             done.set()
             for reader in readers:

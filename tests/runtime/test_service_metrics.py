@@ -95,10 +95,9 @@ class TestCacheAccounting:
             thread.start()
         try:
             if executor == "thread":
-                with pytest.warns(RuntimeWarning, match="thread executor"):
-                    reports = service.adapt_many(targets, jobs=2, executor="thread")
+                reports = service.adapt_many(targets)  # in the calling thread
             else:
-                reports = service.adapt_many(targets, jobs=2, executor="process")
+                reports = service.adapt_many(targets, jobs=2)  # worker processes
         finally:
             stop.set()
             for thread in predictors:
@@ -130,7 +129,7 @@ class TestEngineAccounting:
         if executor == "thread":
             reports = service.adapt_many(targets)  # serial in-process path
         else:
-            reports = service.adapt_many(targets, jobs=2, executor="process")
+            reports = service.adapt_many(targets, jobs=2)
         expected_epochs = sum(len(report.losses) for report in reports.values())
         assert service.metrics.counter_total("engine.epochs") == expected_epochs
         assert service.metrics.counter_total("engine.runs") == len(targets)

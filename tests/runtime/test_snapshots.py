@@ -9,6 +9,9 @@ degradation contract: corrupt or truncated snapshots are detected, counted,
 discarded, and fall back to a clean cold adaptation, never a crash.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -190,7 +193,7 @@ class TestExecutorAndBatchingEquivalence:
 
         tiered = build_service(source, snapshot_store=SnapshotStore(tmp_path))
         try:
-            tiered.adapt_many(targets, jobs=2, executor="process")
+            tiered.adapt_many(targets, jobs=2)
         finally:
             tiered.close()
         tiered.evict()
@@ -215,6 +218,129 @@ class TestExecutorAndBatchingEquivalence:
                 serial.model_for(name)
             )
             assert report_dict(tiered, name) == report_dict(serial, name)
+
+
+class GatedStore(SnapshotStore):
+    """A store whose n-th ``save`` waits for ``gates[n]`` before writing."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.gates = [threading.Event() for _ in range(8)]
+        self.started = [threading.Event() for _ in range(8)]
+        self.finished = [threading.Event() for _ in range(8)]
+        self._calls = 0
+        self._count_lock = threading.Lock()
+
+    def save(self, target_id, payload):
+        with self._count_lock:
+            index, self._calls = self._calls, self._calls + 1
+        self.started[index].set()
+        assert self.gates[index].wait(timeout=30), f"save {index} never released"
+        try:
+            return super().save(target_id, payload)
+        finally:
+            self.finished[index].set()
+
+
+def spawn(fn, *args):
+    thread = threading.Thread(target=fn, args=args)
+    thread.start()
+    return thread
+
+
+class TestSpillRace:
+    """An eviction's spill is in flight while other threads touch the target."""
+
+    def test_lookup_during_spill_serves_the_evicted_model(self, source, tmp_path):
+        store = GatedStore(tmp_path)
+        service = build_service(source, snapshot_store=store, max_cached_models=2)
+        targets = make_targets(n_targets=3)
+        names = list(targets)
+        service.adapt(names[0], targets[names[0]])
+        evicted_bytes = parameter_bytes(service.model_for(names[0]))
+        service.adapt(names[1], targets[names[1]])
+        # Adapting a third target evicts the first; its spill blocks mid-save.
+        writer = spawn(service.adapt, names[2], targets[names[2]])
+        try:
+            assert store.started[0].wait(timeout=30)
+            resumed = service.model_for(names[0])
+            assert resumed is not None, "a lookup mid-spill fell back to the source model"
+            assert parameter_bytes(resumed) == evicted_bytes
+        finally:
+            for gate in store.gates:
+                gate.set()
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert parameter_bytes(service.model_for(names[0])) == evicted_bytes
+
+    @pytest.mark.parametrize("newer_first", [False, True], ids=["older_first", "newer_first"])
+    def test_two_spills_of_one_target_leave_the_newer_snapshot(
+        self, source, tmp_path, newer_first
+    ):
+        store = GatedStore(tmp_path)
+        service = build_service(source, snapshot_store=store)
+        data = make_targets(n_targets=1)["user_00"]
+        service.adapt("user_00", data, seed=1)
+        older = spawn(service.evict, "user_00")
+        assert store.started[0].wait(timeout=30)
+        service.adapt("user_00", data, seed=2)
+        newer_bytes = parameter_bytes(service.model_for("user_00"))
+        newer = spawn(service.evict, "user_00")
+        try:
+            if newer_first:
+                store.gates[1].set()
+                newer.join(timeout=30)
+                store.gates[0].set()
+            else:
+                store.gates[0].set()
+                assert store.finished[0].wait(timeout=30)
+                store.gates[1].set()
+        finally:
+            for gate in store.gates:
+                gate.set()
+            older.join(timeout=30)
+            newer.join(timeout=30)
+        assert not older.is_alive() and not newer.is_alive()
+        assert store.load("user_00")["report"]["seed"] == 2
+        assert parameter_bytes(service.model_for("user_00")) == newer_bytes
+
+    def test_concurrent_lookups_under_thrash_always_serve_adapted_bits(
+        self, source, tmp_path
+    ):
+        """More threads than cores resume, evict and spill one tiny cache."""
+        service = build_service(
+            source, snapshot_store=SnapshotStore(tmp_path), max_cached_models=2
+        )
+        targets = make_targets(n_targets=6, n_samples=30)
+        expected = {}
+        for name, data in targets.items():
+            service.adapt(name, data)
+            expected[name] = parameter_bytes(service.model_for(name))
+        names = list(targets)
+        errors = []
+
+        def hammer(offset):
+            for step in range(40):
+                name = names[(offset + step) % len(names)]
+                try:
+                    model = service.model_for(name, required=True)
+                    assert parameter_bytes(model) == expected[name], name
+                except Exception as exc:  # pragma: no cover - the failure mode
+                    errors.append(exc)
+                    return
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [spawn(hammer, offset) for offset in range(4)]
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[:3]
+        for name in names:
+            assert service.model_for(name) is not None
 
 
 class TestCorruptionFallback:

@@ -210,18 +210,17 @@ class TestDeterminism:
             for name, stream in fleet_stream.items():
                 serial.ingest(name, stream[step])
         parallel = build_service(source, readapt_budget=48)
-        for step in range(5):
-            parallel.ingest_many(
-                {name: stream[step] for name, stream in fleet_stream.items()}, jobs=3
-            )
+        parallel.use_process_workers(2)
+        try:
+            for step in range(5):
+                parallel.ingest_many(
+                    {name: stream[step] for name, stream in fleet_stream.items()}
+                )
+        finally:
+            parallel.close()
         for name in fleet_stream:
             assert stripped(serial.events_for(name)) == stripped(parallel.events_for(name))
             assert serial.report_for(name).losses == parallel.report_for(name).losses
-
-    def test_invalid_jobs_rejected(self, source):
-        service = build_service(source)
-        with pytest.raises(ValueError):
-            service.ingest_many({"user": batches(0.0, 1)[0]}, jobs=0)
 
 
 class TestIntrospection:
