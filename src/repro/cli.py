@@ -637,52 +637,10 @@ def _select_scenarios(parser: argparse.ArgumentParser, args: argparse.Namespace)
     return bundle, scenarios
 
 
-def _build_strategy(args: argparse.Namespace, bundle, max_source_samples: int = 400):
-    """Create and prepare the ``--scheme`` strategy against the task bundle."""
-    from .core import TasfarConfig
-    from .engine import create_strategy
-
-    strategy = create_strategy(
-        args.scheme,
-        config=TasfarConfig(seed=args.seed),
-        epochs=bundle.scale.baseline_epochs,
-        seed=args.seed,
-    )
-    return strategy.prepare(
-        bundle.source_model,
-        bundle.resources(max_source_samples=max_source_samples, seed=args.seed),
-    )
-
-
-def _build_gateway(args: argparse.Namespace, bundle, max_cached: int, **service_options):
-    """Construct the serving gateway every runtime subcommand fronts.
-
-    Built from the already-selected bundle (not :meth:`Gateway.from_task`)
-    so ``--targets`` filtering and the shared bundle cache are respected.
-    """
-    from .core import TasfarConfig
-    from .serve import Gateway
-
-    return Gateway(
-        bundle.source_model,
-        bundle.calibration,
-        config=TasfarConfig(seed=args.seed),
-        strategy=_build_strategy(args, bundle),
-        n_shards=args.shards,
-        shard_workers=args.jobs,
-        executor=getattr(args, "executor", "thread"),
-        train_batching=getattr(args, "train_batching", 1),
-        max_cached_models=max_cached,
-        base_seed=args.seed,
-        service_options=service_options or None,
-        snapshot_dir=getattr(args, "snapshot_dir", None),
-    )
-
-
 def _adapt_many(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """Adapt the target scenarios of one task through the serving gateway."""
     from .metrics import format_table, mse
-    from .serve import AdaptRequest, PredictRequest
+    from .serve import AdaptRequest, Gateway, PredictRequest
 
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
@@ -695,7 +653,18 @@ def _adapt_many(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     # target would silently be evaluated with the unadapted source model.
     max_cached = len(selected) if args.max_cached is None else max(args.max_cached, 1)
     try:
-        gateway = _build_gateway(args, bundle, max_cached)
+        gateway = Gateway.from_task(
+            args.task,
+            scheme=args.scheme,
+            scale=args.scale,
+            seed=args.seed,
+            n_shards=args.shards,
+            shard_workers=args.jobs,
+            executor=args.executor,
+            train_batching=args.train_batching,
+            max_cached_models=max_cached,
+            snapshot_dir=args.snapshot_dir,
+        )
     except ValueError as exc:
         # An incompatible --train-batching (unstackable scheme or model) is a
         # usage error, not a crash: surface the gateway's message verbatim.
@@ -772,7 +741,7 @@ def _stream(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """Replay drifting per-target streams through the serving gateway."""
     from .data import make_drift_streams
     from .metrics import format_table, mse
-    from .serve import StreamRequest
+    from .serve import Gateway, PredictRequest, StreamRequest
 
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
@@ -802,14 +771,23 @@ def _stream(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         only=list(selected),
     )
     try:
-        gateway = _build_gateway(
-            args,
-            bundle,
-            len(selected),
-            min_adapt_events=args.min_adapt,
-            readapt_budget=args.budget,
-            warm_epochs=args.warm_epochs,
-            drift_threshold=args.drift_threshold,
+        gateway = Gateway.from_task(
+            args.task,
+            scheme=args.scheme,
+            scale=args.scale,
+            seed=args.seed,
+            n_shards=args.shards,
+            shard_workers=args.jobs,
+            executor=args.executor,
+            train_batching=args.train_batching,
+            max_cached_models=len(selected),
+            service_options={
+                "min_adapt_events": args.min_adapt,
+                "readapt_budget": args.budget,
+                "warm_epochs": args.warm_epochs,
+                "drift_threshold": args.drift_threshold,
+            },
+            snapshot_dir=args.snapshot_dir,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -832,13 +810,25 @@ def _stream(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                 f"{first.error['type']}: {first.error['message']}"
             )
 
+    # Score every adapted target in one predict burst, as adapt-many does.
+    adapted = [
+        name
+        for name in selected
+        if gateway.report_for(name) is not None and gateway.model_for(name) is not None
+    ]
+    predictions = {
+        envelope.target_id: envelope.payload["prediction"]
+        for envelope in gateway.submit_many(
+            [PredictRequest(name, selected[name].test.inputs) for name in adapted]
+        )
+    }
     rows = []
     for name, scenario in selected.items():
         stats = gateway.stream_stats(name)
         before = mse(bundle.predict(scenario.test.inputs), scenario.test.targets)
         after_cell: object = "never adapted"
-        if gateway.report_for(name) is not None and gateway.model_for(name) is not None:
-            after_cell = round(mse(gateway.predict(name, scenario.test.inputs), scenario.test.targets), 4)
+        if name in predictions:
+            after_cell = round(mse(predictions[name], scenario.test.targets), 4)
         rows.append(
             [
                 name,

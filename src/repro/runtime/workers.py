@@ -240,13 +240,20 @@ class AdaptationWorkerPool:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def _submit(self, task: list[Job], warm_epochs: int | None) -> Future:
+    def submit_stacked(self, stack: list[Job], warm_epochs: int | None = None) -> Future:
+        """Queue one task of ``(target_id, inputs, seed, base_model)`` jobs.
+
+        Resolve it with :meth:`collect_stacked`.  A one-job task is one
+        ``strategy.adapt`` call; a multi-job task is one stacked
+        (``train_batching``) fine-tune inside the worker — batching *within*
+        a worker composes with processes *across* workers.
+        """
         with self._lock:
             if self._closed or self._pool is None:
                 raise WorkerCrashError("the adaptation worker pool is closed")
             pool = self._pool
         try:
-            future = pool.submit(_worker_run, task, warm_epochs)
+            future = pool.submit(_worker_run, stack, warm_epochs)
         except RuntimeError as exc:
             # The pool broke or was swapped out between the lock release and
             # the submit; surface the same typed error a collect would.
@@ -257,8 +264,8 @@ class AdaptationWorkerPool:
         self._count("workers.tasks")
         return future
 
-    def _results(self, future: Future) -> list[JobResult]:
-        """Resolve a task future, translating pool-death failures.
+    def collect_stacked(self, future: Future) -> list[JobResult]:
+        """Resolve a :meth:`submit_stacked` future to one result per job.
 
         ``CancelledError`` (queued when the pool was killed) and
         ``BrokenProcessPool`` (running when the pool was killed) both become
@@ -279,42 +286,6 @@ class AdaptationWorkerPool:
         if self.metrics is not None:
             self.metrics.merge(delta)
         return results
-
-    def submit(
-        self,
-        target_id: str,
-        inputs: np.ndarray,
-        seed: int,
-        base_model: RegressionModel | None = None,
-        warm_epochs: int | None = None,
-    ) -> Future:
-        """Queue one adaptation; resolve the future with :meth:`collect`."""
-        return self._submit([(target_id, inputs, seed, base_model)], warm_epochs)
-
-    def collect(self, future: Future) -> tuple[AdaptationReport, StrategyOutcome]:
-        """Resolve a :meth:`submit` future to ``(report, outcome)``.
-
-        Adaptation errors raised inside the worker (e.g.
-        :class:`~repro.core.adapter.NoConfidentSamplesError`) re-raise
-        unchanged, exactly as the in-process path would raise them.
-        """
-        [(report, outcome, error)] = self._results(future)
-        if error is not None:
-            raise error
-        return report, outcome
-
-    def submit_stacked(self, stack: list[Job], warm_epochs: int | None = None) -> Future:
-        """Queue one task of ``(target_id, inputs, seed, base_model)`` jobs.
-
-        Resolve it with :meth:`collect_stacked`.  A multi-job task is one
-        stacked (``train_batching``) fine-tune inside the worker — batching
-        *within* a worker composes with processes *across* workers.
-        """
-        return self._submit(stack, warm_epochs)
-
-    def collect_stacked(self, future: Future) -> list[JobResult]:
-        """Resolve a :meth:`submit_stacked` future to one result per job."""
-        return self._results(future)
 
     # ------------------------------------------------------------------
     # Lifecycle

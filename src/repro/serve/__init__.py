@@ -12,8 +12,9 @@ This package is the client-facing API of the reproduction's serving story:
   per-shard worker pools, serving everything through ``submit`` /
   ``submit_many`` / ``submit_async``;
 * :mod:`repro.serve.batching` — cross-target micro-batched prediction:
-  concurrent predicts that share a model instance are deduped and stacked
-  into coalesced forwards, bit-identical to per-request predicts;
+  the gateway's one predict executor: concurrent predicts that share a
+  model instance are deduped and stacked into coalesced forwards,
+  bit-identical to per-request predicts;
 * :mod:`repro.serve.loop` — the JSON-lines request loop behind
   ``python -m repro.cli serve``.
 
@@ -21,7 +22,6 @@ See ``examples/gateway_serving.py`` for an end-to-end walkthrough and the
 README's "Serving" section for the wire schema.
 """
 
-from .batching import BatchPolicy
 from .gateway import Gateway, ShardRestartedError
 from .loop import Session, decode_line, serve_lines, serve_loop
 from .protocol import (
@@ -40,7 +40,6 @@ from .protocol import (
 __all__ = [
     "SCHEMA",
     "AdaptRequest",
-    "BatchPolicy",
     "Envelope",
     "Gateway",
     "MetricsRequest",

@@ -15,26 +15,28 @@ Coalescing happens in two tiers:
   the result fanned out.  Bit-identical by construction — it *is* the same
   forward — whatever the platform.
 * **Tiled stacking** — distinct sub-batch payloads for one model are packed,
-  back to back, into fixed-shape tiles of exactly ``tile_rows`` rows (the
+  back to back, into fixed-shape tiles of exactly :data:`TILE_ROWS` rows (the
   last tile zero-padded) and each tile runs as one forward.  The fixed shape
   is the whole trick: a BLAS kernel picks its blocking from the gemm shape,
   so forwarding the *same row* in differently-sized batches can drift by an
-  ulp — but inside a fixed ``(tile_rows, features)`` forward every output
+  ulp — but inside a fixed ``(TILE_ROWS, features)`` forward every output
   row depends only on its own input row, and repacking rows across tiles
   reproduces them bit for bit (pinned by ``tests/serve/test_gateway.py``).
-  Because the gateway runs *single* predict requests through the very same
-  tiled executor, a coalesced burst is **bit-identical to per-request
-  submits by construction** — micro-batching only changes how many rows
-  share a tile, never the arithmetic of any row.
+  :func:`run_model_group` is the gateway's only predict executor (``submit``,
+  ``submit_many`` and ``submit_async`` all end here, a lone request
+  included), so a coalesced burst is **bit-identical to per-request submits
+  by construction** — micro-batching only changes how many rows share a
+  tile, never the arithmetic of any row.  It has no modes and no knobs.
 
 Payloads at or above their request's ``batch_size`` gain nothing from tiling
 (they already amortize dispatch) and run verbatim through
-:func:`~repro.nn.trainer.predict_batched` — for those, the gateway's output
-is bitwise the legacy :meth:`~repro.runtime.AdaptationService.predict`.  For
-sub-batch payloads the tiled path may differ from that *legacy* path by
-float rounding (the shape-dependence above, ~1 ulp); callers that need the
-legacy bits exactly can serve with ``BatchPolicy(mode="dedup")``, which
-coalesces duplicates only and keeps every forward request-shaped.
+:func:`~repro.nn.trainer.predict_batched`, so for those the gateway's output
+is bitwise :meth:`~repro.runtime.AdaptationService.predict`.  Sub-batch
+payloads may differ from that request-shaped path by float rounding (the
+shape-dependence above, ~1 ulp).  Those request-shaped bits are not a
+gateway contract: callers that need them call
+:meth:`~repro.runtime.AdaptationService.predict` on the owning shard
+(``gateway.service_for(target_id).predict``).
 """
 
 from __future__ import annotations
@@ -45,40 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn.trainer import predict_batched
-from ..obs.metrics import RATIO_BUCKETS as _OCCUPANCY_BUCKETS
 
-__all__ = ["BatchPolicy", "PredictPlan", "run_model_group"]
+__all__ = ["TILE_ROWS", "PredictPlan", "run_model_group"]
 
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """Knobs of the prediction micro-batcher.
-
-    Attributes
-    ----------
-    mode:
-        ``"stack"`` (dedup + fixed-shape tiled stacking, the default),
-        ``"dedup"`` (only byte-identical payloads coalesce; every forward
-        stays request-shaped, matching the legacy service path bit for
-        bit), or ``"off"`` (plain per-request execution; the gateway then
-        only saves the per-request lock round-trips).
-    tile_rows:
-        Rows per fixed-shape tile in ``"stack"`` mode.  Small enough that a
-        lone request padded to one tile costs about as much as its own
-        forward, large enough that a burst of one-row requests collapses
-        into few forwards.
-    """
-
-    mode: str = "stack"
-    tile_rows: int = 32
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("stack", "dedup", "off"):
-            raise ValueError(
-                f"mode must be 'stack', 'dedup' or 'off', got {self.mode!r}"
-            )
-        if self.tile_rows < 1:
-            raise ValueError("tile_rows must be at least 1")
+#: Rows per fixed-shape tile.  Small enough that a lone request padded to one
+#: tile costs about as much as its own forward, large enough that a burst of
+#: one-row requests collapses into few forwards.
+TILE_ROWS = 32
 
 
 @dataclass
@@ -113,46 +88,26 @@ def _payload_key(inputs: np.ndarray) -> tuple:
 
 
 def run_model_group(
-    model,
-    lock,
-    plans: list[PredictPlan],
-    policy: BatchPolicy,
-    metrics=None,
-    tally=None,
-    occupancies=None,
-) -> None:
+    model, lock, plans: list[PredictPlan]
+) -> tuple[list[tuple[str, int]], list[float]]:
     """Execute all plans that resolved to one model instance, coalescing them.
 
     Fills each plan's ``output`` in place.  The model's forward lock is taken
     once for the whole group (layers cache per-forward state, so a model
     instance must never forward from two threads at once).
 
-    The gateway routes *single* predict requests through here too, so the
-    per-request and micro-batched executions are one code path — which is
-    what makes their outputs bit-identical rather than merely close.
+    Every gateway prediction, a lone ``submit_async`` included, runs through
+    here, so per-request and micro-batched executions are one code path —
+    which is what makes their outputs bit-identical rather than merely close.
 
-    ``metrics`` (an optional :class:`~repro.obs.MetricsRegistry`) receives
-    the coalescing accounting: plan counts, dedup savings, solo-vs-tiled
-    forwards, and tile occupancy / zero-pad waste.  Callers executing many
-    model groups per burst pass shared ``tally``/``occupancies`` lists
-    instead and settle them with the registry once — per-group settlement
-    was a measurable slice of the ≤2% observability overhead budget.
+    Returns the group's coalescing accounting: ``(counter, value)`` pairs
+    (dedup savings, solo forwards, tiles, tile rows and zero-pad waste) and
+    one occupancy sample per tiled feature shape.  The caller settles them
+    with its registry once per burst; a group that raises returns nothing,
+    so a failed forward leaves no counts behind.
     """
-    if not plans:
-        return
-    settle = tally is None
-    if settle:
-        tally, occupancies = [], []
-    tally.append(("batch.plans", len(plans)))
-    if policy.mode == "off":
-        with lock:
-            for plan in plans:
-                plan.output = predict_batched(model, plan.inputs, plan.batch_size)
-        tally.append(("batch.solo_forwards", len(plans)))
-        if settle and metrics is not None:
-            metrics.counter_many(tally)
-        return
-
+    tally: list[tuple[str, int]] = []
+    occupancies: list[float] = []
     # Tier 1 — dedup: one representative per byte-identical payload.
     unique: dict[tuple, list[PredictPlan]] = {}
     for plan in plans:
@@ -160,13 +115,13 @@ def run_model_group(
 
     # Tier 2 — tiling: representatives below their batch_size share
     # fixed-shape tiles; bigger payloads run verbatim (their per-request
-    # chunking already amortizes dispatch, and staying on the legacy path
-    # keeps them bitwise equal to AdaptationService.predict).
+    # chunking already amortizes dispatch, and staying request-shaped keeps
+    # them bitwise equal to AdaptationService.predict).
     solo: list[PredictPlan] = []
     tiled: dict[tuple, list[PredictPlan]] = {}
     for group in unique.values():
         representative = group[0]
-        if policy.mode == "stack" and len(representative.inputs) < representative.batch_size:
+        if len(representative.inputs) < representative.batch_size:
             key = representative.inputs.shape[1:]
             tiled.setdefault(key, []).append(representative)
         else:
@@ -182,14 +137,7 @@ def run_model_group(
         for plan in solo:
             plan.output = predict_batched(model, plan.inputs, plan.batch_size)
         for feature_shape, members in tiled.items():
-            _run_tiled(
-                model, feature_shape, members, policy.tile_rows, tally, occupancies
-            )
-    if settle and metrics is not None:
-        metrics.counter_many(tally)
-        metrics.observe_many(
-            "batch.tile_occupancy", occupancies, buckets=_OCCUPANCY_BUCKETS
-        )
+            _run_tiled(model, feature_shape, members, tally, occupancies)
 
     # Fan results out to the deduped duplicates.
     for group in unique.values():
@@ -199,42 +147,39 @@ def run_model_group(
         for duplicate in group[1:]:
             duplicate.output = representative.output
             duplicate.coalesced = True
+    return tally, occupancies
 
 
 def _run_tiled(
     model,
     feature_shape: tuple,
     members: list[PredictPlan],
-    tile_rows: int,
-    tally: list | None = None,
-    occupancies: list | None = None,
+    tally: list,
+    occupancies: list,
 ) -> None:
-    """Pack payload rows into fixed ``(tile_rows, ...)`` forwards and scatter back.
+    """Pack payload rows into fixed ``(TILE_ROWS, ...)`` forwards and scatter back.
 
     Rows are laid out back to back across tiles with no per-payload
     alignment; the final tile is zero-padded up to the fixed shape.  Every
     forward therefore has the exact same shape, which is what pins each
     row's bits independently of how many requests shared the tile.
 
-    Accounting lands in the caller's ``tally``/``occupancies`` lists (the
-    caller settles them with the registry in bulk, outside the model lock).
+    Accounting lands in the caller's ``tally``/``occupancies`` lists.
     """
     total_rows = sum(len(plan.inputs) for plan in members)
-    n_tiles = -(-total_rows // tile_rows)
-    if tally is not None:
-        tally.append(("batch.tiles", n_tiles))
-        tally.append(("batch.tile_rows", total_rows))
-        tally.append(("batch.tile_padding_rows", n_tiles * tile_rows - total_rows))
-    if occupancies is not None:
-        occupancies.append(total_rows / (n_tiles * tile_rows))
-    stacked = np.zeros((n_tiles * tile_rows,) + feature_shape, dtype=np.float64)
+    n_tiles = -(-total_rows // TILE_ROWS)
+    tally.append(("batch.tiles", n_tiles))
+    tally.append(("batch.tile_rows", total_rows))
+    tally.append(("batch.tile_padding_rows", n_tiles * TILE_ROWS - total_rows))
+    occupancies.append(total_rows / (n_tiles * TILE_ROWS))
+    stacked = np.zeros((n_tiles * TILE_ROWS,) + feature_shape, dtype=np.float64)
     start = 0
     for plan in members:
         stacked[start : start + len(plan.inputs)] = plan.inputs
         start += len(plan.inputs)
     outputs = [
-        model_forward_eval(model, stacked[offset : offset + tile_rows])
-        for offset in range(0, len(stacked), tile_rows)
+        model_forward_eval(model, stacked[offset : offset + TILE_ROWS])
+        for offset in range(0, len(stacked), TILE_ROWS)
     ]
     flat = np.concatenate(outputs, axis=0)
     shared = len(members) > 1

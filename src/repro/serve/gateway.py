@@ -18,13 +18,14 @@ subcommands — each with its own kwargs and return shapes.  The
   the shard count only ever moves targets **to the new shards**, never
   reshuffles them among the old ones;
 * every interaction goes through one ``submit()`` / ``submit_many()``
-  surface (plus a future-returning ``submit_async``), and concurrent
-  :class:`~repro.serve.PredictRequest`\\ s for targets sharing a model
-  instance are answered by micro-batched forwards
-  (:mod:`repro.serve.batching`) — bit-identical to submitting the same
-  requests one at a time (single submits run through the same tiled
-  executor), measurably faster under bursty load
-  (``benchmarks/test_bench_serve.py``).
+  surface (plus a future-returning ``submit_async``), and every
+  :class:`~repro.serve.PredictRequest` — a lone one included — is answered
+  by the one micro-batching executor (:mod:`repro.serve.batching`):
+  concurrent predicts for targets sharing a model instance coalesce,
+  bit-identical to submitting the same requests one at a time and
+  measurably faster under bursty load (``benchmarks/test_bench_serve.py``).
+  The gateway has no other predict path; the request-shaped forwards of
+  :meth:`AdaptationService.predict` stay on the shard services.
 
 The pre-existing service constructors keep working untouched; the gateway is
 a facade over them, not a replacement.
@@ -50,7 +51,7 @@ from ..runtime.service import AdaptationService, canonical_target_id
 from ..runtime.snapshots import SnapshotStore
 from ..runtime.workers import EXECUTOR_KINDS
 from ..streaming.service import StreamingAdaptationService
-from .batching import BatchPolicy, PredictPlan, run_model_group
+from .batching import PredictPlan, run_model_group
 from .protocol import (
     AdaptRequest,
     Envelope,
@@ -216,6 +217,11 @@ class _ShardDispatch:
 class Gateway:
     """Route typed serving requests onto sharded adaptation services.
 
+    Predictions are served only through :meth:`submit`, :meth:`submit_many`
+    and :meth:`submit_async`, all on the one micro-batching executor
+    (:func:`~repro.serve.batching.run_model_group`); there is no batching
+    knob.
+
     Parameters
     ----------
     source_model:
@@ -251,9 +257,6 @@ class Gateway:
         Seeding base forwarded to every shard; per-target seeds depend only
         on ``(target_id, base_seed)``, so a fleet adapts bit-identically
         whatever the shard count.
-    batch_policy:
-        Micro-batching knobs (:class:`~repro.serve.batching.BatchPolicy`);
-        the default stacks and dedups.
     train_batching:
         Stack size for cross-target batched *training*.  ``K > 1`` makes
         :meth:`submit_many` group the :class:`~repro.serve.AdaptRequest`\\ s
@@ -301,7 +304,6 @@ class Gateway:
         executor: str = "thread",
         max_cached_models: int = 8,
         base_seed: int = 0,
-        batch_policy: BatchPolicy | None = None,
         train_batching: int = 1,
         service_options: dict | None = None,
         snapshot_dir: str | None = None,
@@ -315,7 +317,6 @@ class Gateway:
         if executor not in EXECUTOR_KINDS:
             raise ValueError(f"executor must be one of {EXECUTOR_KINDS}, got {executor!r}")
         self.executor = executor
-        self.batch_policy = batch_policy if batch_policy is not None else BatchPolicy()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
         self.snapshot_dir = None if snapshot_dir is None else str(snapshot_dir)
@@ -418,7 +419,7 @@ class Gateway:
         ``TasfarConfig(seed=seed)`` for both the strategy and the shard
         services (the simulator uses this to run short, deterministic
         adaptation schedules).  Remaining keyword arguments are constructor
-        parameters (``n_shards``, ``batch_policy``, ``service_options``, ...).
+        parameters (``n_shards``, ``executor``, ``service_options``, ...).
         """
         from ..engine import create_strategy
         from ..experiments import get_bundle
@@ -533,10 +534,11 @@ class Gateway:
         The future *always* settles — with a success envelope, an error
         envelope, or (if :meth:`restart_shard_workers` kills the shard while
         the request is queued) an error envelope carrying
-        :class:`ShardRestartedError`.  Single-request dispatch skips
-        micro-batching (there is nothing to coalesce with); burst callers
-        should prefer :meth:`submit_many`, which coalesces across the whole
-        burst.
+        :class:`ShardRestartedError`.  A :class:`PredictRequest` is answered
+        as a one-request burst on the executor :meth:`submit_many` uses, so
+        its envelope is bit-identical to that request's answer inside any
+        burst; burst callers should still prefer :meth:`submit_many`, which
+        coalesces across the whole burst.
         """
         dispatch = self._dispatch_for(request)
         trace = self._begin_trace(request)
@@ -684,12 +686,17 @@ class Gateway:
     # Handlers
     # ------------------------------------------------------------------
     def _handle_one(self, request: Request) -> Envelope:
+        if isinstance(request, PredictRequest):
+            # A lone predict (submit_async) is a one-request burst: the burst
+            # handler answers and counts it, on the one executor.
+            [(_, envelope)] = self._handle_predict_group(
+                self.shard_for(request.target_id), [(0, request)]
+            )
+            return envelope
         start = now()
         try:
             if isinstance(request, AdaptRequest):
                 payload = self._do_adapt(request)
-            elif isinstance(request, PredictRequest):
-                payload = self._do_predict(request)
             elif isinstance(request, StreamRequest):
                 payload = self._do_stream(request)
             elif isinstance(request, ReportRequest):
@@ -710,29 +717,6 @@ class Gateway:
         service = self.service_for(request.target_id)
         report = service.adapt(request.target_id, request.inputs, seed=request.seed)
         return {"report": report.to_dict(), "shard": self.shard_for(request.target_id)}
-
-    def _do_predict(self, request: PredictRequest) -> dict:
-        # Single requests go through the same executor as coalesced bursts
-        # (one plan, one group): sharing the code path is what makes
-        # per-request and micro-batched outputs bit-identical.
-        service = self.service_for(request.target_id)
-        model, lock, fallback = service._predict_entry(request.target_id, request.strict)
-        plan = PredictPlan(
-            index=0,
-            target_id=request.target_id,
-            inputs=request.inputs,
-            batch_size=request.batch_size,
-            fallback=fallback,
-            model=model,
-            lock=lock,
-        )
-        run_model_group(model, lock, [plan], self.batch_policy, metrics=self.metrics)
-        return {
-            "prediction": plan.output,
-            "n_rows": int(len(plan.output)),
-            "model": "source" if fallback else "adapted",
-            "coalesced": bool(plan.coalesced),
-        }
 
     def _do_stream(self, request: StreamRequest) -> dict:
         service = self.service_for(request.target_id)
@@ -953,22 +937,22 @@ class Gateway:
         # never mix chunkings, and a model instance must forward under its
         # own lock exactly once per group.  Batching accounting accumulates
         # in one shared tally across the burst's model groups and settles
-        # with the registry once, below.
-        batch_tally: list[tuple[str, float]] = []
+        # with the registry once, below; a group's counts join it only if
+        # the group answered.
+        batch_tally: list[tuple[str, float]] = [("batch.plans", len(plans))] if plans else []
         occupancies: list[float] = []
         model_groups: dict[tuple[int, int], list[PredictPlan]] = {}
         for plan in plans:
             model_groups.setdefault((id(plan.model), plan.batch_size), []).append(plan)
+
+        def run(grouped: list[PredictPlan]) -> None:
+            tally, tiles = run_model_group(grouped[0].model, grouped[0].lock, grouped)
+            batch_tally.extend(tally)
+            occupancies.extend(tiles)
+
         for grouped in model_groups.values():
             try:
-                run_model_group(
-                    grouped[0].model,
-                    grouped[0].lock,
-                    grouped,
-                    self.batch_policy,
-                    tally=batch_tally,
-                    occupancies=occupancies,
-                )
+                run(grouped)
             except Exception:
                 # A coalesced forward cannot attribute its failure (one bad
                 # payload fails the whole tile), so degrade to per-plan
@@ -977,14 +961,7 @@ class Gateway:
                 for plan in grouped:
                     plan.output, plan.coalesced = None, False
                     try:
-                        run_model_group(
-                            plan.model,
-                            plan.lock,
-                            [plan],
-                            self.batch_policy,
-                            tally=batch_tally,
-                            occupancies=occupancies,
-                        )
+                        run([plan])
                     except Exception as exc:
                         plan.error = exc
 
@@ -1050,18 +1027,6 @@ class Gateway:
     def adapt(self, target_id: str, inputs: np.ndarray, seed: int | None = None):
         """Adapt one target on its shard; returns the report (raises on error)."""
         return self.service_for(target_id).adapt(target_id, inputs, seed=seed)
-
-    def predict(self, target_id: str, inputs: np.ndarray, **kwargs) -> np.ndarray:
-        """Predict for one target through the *legacy* service path.
-
-        This is :meth:`AdaptationService.predict` on the owning shard —
-        request-shaped forwards, unchanged semantics.  The gateway's own
-        submit paths run sub-batch payloads through fixed-shape tiles
-        instead (see :mod:`repro.serve.batching`), which can differ from
-        this path by float rounding; within the submit surface everything
-        is bit-identical.
-        """
-        return self.service_for(target_id).predict(target_id, inputs, **kwargs)
 
     def model_for(self, target_id: str, required: bool = False):
         """The cached adapted model for ``target_id`` from its shard."""

@@ -152,7 +152,7 @@ class TestPoolCrashSemantics:
         pool = AdaptationWorkerPool(1, model, strategy)
         pool.close()
         with pytest.raises(WorkerCrashError):
-            pool.submit("t", np.zeros((4, 4)), 0)
+            pool.submit_stacked([("t", np.zeros((4, 4)), 0, None)])
 
     def test_killed_in_flight_future_raises_instead_of_hanging(self, source):
         model, calibration = source
@@ -163,19 +163,23 @@ class TestPoolCrashSemantics:
             # Warm the pool so the worker exists, then bury it in work and
             # kill it: every outstanding future must resolve (queued ones
             # cancelled, the running one broken), all as WorkerCrashError.
-            pool.collect(pool.submit("warm", data, seed=0))
-            futures = [pool.submit(f"t{i}", data, seed=i) for i in range(6)]
+            pool.collect_stacked(pool.submit_stacked([("warm", data, 0, None)]))
+            futures = [
+                pool.submit_stacked([(f"t{i}", data, i, None)]) for i in range(6)
+            ]
             pool.restart()
             failures = 0
             for future in futures:
                 try:
-                    pool.collect(future)
+                    pool.collect_stacked(future)
                 except WorkerCrashError:
                     failures += 1
             assert failures > 0, "restart with queued work should break some futures"
             # The respawned pool serves the same request to the same bits.
-            report, _ = pool.collect(pool.submit("warm", data, seed=0))
-            assert report.target_id == "warm"
+            [(report, _, error)] = pool.collect_stacked(
+                pool.submit_stacked([("warm", data, 0, None)])
+            )
+            assert error is None and report.target_id == "warm"
         finally:
             pool.close()
 

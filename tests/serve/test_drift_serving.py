@@ -16,7 +16,7 @@ from repro.data.drift import make_drift_stream
 from repro.engine import SourceResources, create_strategy, strategy_names
 from repro.metrics import mae
 from repro.runtime import AdaptationService
-from repro.serve import Gateway, StreamRequest
+from repro.serve import Gateway, PredictRequest, StreamRequest
 
 from gateway_fixtures import fast_config, make_source
 
@@ -125,7 +125,8 @@ class TestDriftUnderServing:
         cold_service.adapt("cold", window)
 
         eval_inputs, eval_targets = drifted_regime(scenario)
-        warm_mae = mae(gateway.predict(user, eval_inputs), eval_targets)
+        warm = gateway.submit(PredictRequest(user, eval_inputs))
+        warm_mae = mae(warm.payload["prediction"], eval_targets)
         cold_mae = mae(cold_service.predict("cold", eval_inputs), eval_targets)
         model.eval()
         source_mae = mae(model.forward(eval_inputs), eval_targets)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.serve import (
     AdaptRequest,
-    BatchPolicy,
     Envelope,
     Gateway,
     PredictRequest,
@@ -40,8 +39,9 @@ class TestSubmission:
         envelope = gateway.submit(PredictRequest("user_00", probe))
         assert envelope.ok and envelope.kind == "predict"
         assert envelope.payload["model"] == "adapted"
+        again = gateway.submit(PredictRequest("user_00", probe, strict=True))
         np.testing.assert_array_equal(
-            envelope.payload["prediction"], gateway.predict("user_00", probe)
+            envelope.payload["prediction"], again.payload["prediction"]
         )
         gateway.close()
 
@@ -139,13 +139,11 @@ def bursty_requests(rng, n_bursts=40):
 
 
 class TestMicroBatching:
-    @pytest.mark.parametrize("mode", ["stack", "dedup", "off"])
-    def test_coalesced_bitwise_equal_to_per_request_submits(self, source, mode):
+    def test_coalesced_bitwise_equal_to_per_request_submits(self, source):
         gateway, fleet = adapted_gateway(
             source,
             n_shards=2,
             max_cached_models=3,  # user_00 evicted: source-fallback traffic too
-            batch_policy=BatchPolicy(mode=mode),
         )
         requests = bursty_requests(np.random.default_rng(9))
         envelopes = gateway.submit_many(requests)
@@ -155,18 +153,18 @@ class TestMicroBatching:
             np.testing.assert_array_equal(
                 envelope.payload["prediction"], single.payload["prediction"]
             )
-        if mode != "off":
-            assert any(envelope.payload["coalesced"] for envelope in envelopes)
+        assert any(envelope.payload["coalesced"] for envelope in envelopes)
         gateway.close()
 
-    @pytest.mark.parametrize("mode", ["stack", "dedup", "off"])
-    def test_gateway_matches_legacy_service_predict(self, source, mode):
-        gateway, fleet = adapted_gateway(source, batch_policy=BatchPolicy(mode=mode))
+    def test_gateway_matches_legacy_service_predict(self, source):
+        gateway, fleet = adapted_gateway(source)
         requests = bursty_requests(np.random.default_rng(10), n_bursts=16)
         envelopes = gateway.submit_many(requests)
         for request, envelope in zip(requests, envelopes):
-            legacy = gateway.predict(request.target_id, request.inputs)
-            if mode == "stack" and len(request.inputs) < request.batch_size:
+            legacy = gateway.service_for(request.target_id).predict(
+                request.target_id, request.inputs
+            )
+            if len(request.inputs) < request.batch_size:
                 # The tiled executor fixes the forward shape; vs the
                 # request-shaped legacy path that can cost an ulp.
                 np.testing.assert_allclose(
@@ -177,13 +175,15 @@ class TestMicroBatching:
         gateway.close()
 
     def test_duplicate_payloads_computed_once_and_fanned_out(self, source):
-        gateway, fleet = adapted_gateway(source, batch_policy=BatchPolicy(mode="dedup"))
+        gateway, fleet = adapted_gateway(source)
         probe = np.random.default_rng(11).normal(size=(8, 4))
         requests = [PredictRequest("user_00", probe.copy()) for _ in range(6)]
         envelopes = gateway.submit_many(requests)
         assert all(envelope.ok for envelope in envelopes)
         assert sum(envelope.payload["coalesced"] for envelope in envelopes) == 6
-        reference = gateway.predict("user_00", probe)
+        solo = gateway.submit(PredictRequest("user_00", probe))
+        assert not solo.payload["coalesced"]
+        reference = solo.payload["prediction"]
         for envelope in envelopes:
             np.testing.assert_array_equal(envelope.payload["prediction"], reference)
         gateway.close()
@@ -202,10 +202,10 @@ class TestMicroBatching:
                 envelope.payload["prediction"], single.payload["prediction"]
             )
         # The batch_size=8 request is chunk-executed (20 >= 8): that stays
-        # on the legacy path and must match the service bit for bit.
+        # request-shaped and must match the service bit for bit.
         np.testing.assert_array_equal(
             envelopes[0].payload["prediction"],
-            gateway.predict("user_00", probe, batch_size=8),
+            gateway.service_for("user_00").predict("user_00", probe, batch_size=8),
         )
         gateway.close()
 
@@ -230,11 +230,35 @@ class TestMicroBatching:
         np.testing.assert_array_equal(alone, large)
         gateway.close()
 
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            BatchPolicy(mode="telepathy")
-        with pytest.raises(ValueError, match="tile_rows"):
-            BatchPolicy(tile_rows=0)
+    def test_submit_async_predict_is_a_one_request_burst(self, source):
+        """A lone ``submit_async`` predict is answered by the burst executor:
+        bit-identical to the same request inside a ``submit_many`` burst, and
+        counted exactly once."""
+        gateway, fleet = adapted_gateway(source)
+        rng = np.random.default_rng(15)
+        probe = PredictRequest("user_02", rng.normal(size=(5, 4)))
+        burst = gateway.submit_many(
+            [PredictRequest("user_02", rng.normal(size=(9, 4))), probe]
+        )
+        shard = gateway.service_for("user_02").metrics
+
+        def counts():
+            return (
+                gateway.metrics.counter_value("serve.requests", kind="predict"),
+                shard.counter_value("service.cache.hits"),
+                shard.counter_value("service.cache.misses"),
+                gateway.metrics.counter_total("batch.plans"),
+            )
+
+        before = counts()
+        envelope = gateway.submit_async(probe).result(timeout=30)
+        after = counts()
+        assert envelope.ok and envelope.payload["model"] == "adapted"
+        np.testing.assert_array_equal(
+            envelope.payload["prediction"], burst[1].payload["prediction"]
+        )
+        assert [b - a for a, b in zip(before, after)] == [1, 1, 0, 1]
+        gateway.close()
 
     def test_forward_failure_is_attributed_not_batch_fatal(self, source):
         """A payload whose forward raises (wrong feature width) must come
@@ -294,7 +318,12 @@ class TestSharding:
                     [AdaptRequest(name, data) for name, data in fleet.items()]
                 )
             )
-            outputs.append({name: gateway.predict(name, probe) for name in fleet})
+            outputs.append(
+                {
+                    name: gateway.submit(PredictRequest(name, probe)).payload["prediction"]
+                    for name in fleet
+                }
+            )
             gateway.close()
         for name in fleet:
             np.testing.assert_array_equal(outputs[0][name], outputs[1][name])

@@ -138,6 +138,34 @@ class TestRequestCounters:
         assert metrics.counter_total("batch.dedup_hits") >= 3
         gateway.close()
 
+    def test_failed_coalesced_forward_leaves_no_counts_behind(self, source):
+        """A group whose forward raises is re-run one plan at a time; only
+        the answered runs may reach the batching counters."""
+        gateway, fleet = adapted_gateway(source, n_shards=1)
+        rng = np.random.default_rng(15)
+        target = next(iter(fleet))
+        envelopes = gateway.submit_many(
+            [
+                PredictRequest(target, rng.normal(size=(6, 4))),
+                PredictRequest(target, rng.normal(size=(6, 2))),  # 2 of 4 features
+                PredictRequest(target, rng.normal(size=(6, 4))),
+            ]
+        )
+        assert [envelope.ok for envelope in envelopes] == [True, False, True]
+        metrics = gateway.metrics
+        # Three plans; the two good ones each answered from one padded tile.
+        assert metrics.counter_total("batch.plans") == 3
+        assert metrics.counter_total("batch.tiles") == 2
+        assert metrics.counter_total("batch.tile_rows") == 12
+        assert metrics.counter_total("batch.tile_padding_rows") == 2 * 32 - 12
+        [occupancy] = [
+            entry
+            for entry in metrics.snapshot()["histograms"]
+            if entry["name"] == "batch.tile_occupancy"
+        ]
+        assert occupancy["count"] == 2
+        gateway.close()
+
 
 class TestSnapshotAndToggle:
     def test_metrics_snapshot_merges_gateway_and_shards(self, source):
