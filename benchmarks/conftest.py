@@ -19,10 +19,12 @@ Every entry records the scale it ran at, so reports mixing
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import statistics
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,6 +104,36 @@ def paired_timing(first, second, rounds: int = 15, repeats: int = 1) -> PairedTi
         ratio=statistics.median(ratios),
         noise=(quartiles[2] - quartiles[0]) / 2,
     )
+
+
+#: Integers one CPU burn of :func:`parallel_capacity` sums (~45 ms of pure
+#: interpreter work on a 2-core x86 host).
+_BURN_LENGTH = 2_000_000
+
+
+def parallel_capacity(processes: int, rounds: int = 11) -> tuple[float, float]:
+    """Measure how many cores' worth of CPU ``processes`` processes get at once.
+
+    ``os.cpu_count()`` counts cores, not the throughput a shared host gives
+    concurrent processes.  This probe starts ``processes`` workers, then
+    times one CPU-bound burn alone against ``processes`` identical burns at
+    once, by :func:`paired_timing`.  Returns ``(capacity, noise)`` in cores:
+    ``processes`` times the median of solo time over concurrent time, and
+    the same multiple of the paired ratios' half-IQR.  A host that runs the
+    burns fully in parallel reads ``processes``; one core's worth reads 1.
+    """
+    # Spawned, not forked: the benchmark session may be running threads.
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(processes, mp_context=context) as pool:
+
+        def burns(count: int) -> None:
+            for future in [pool.submit(sum, range(_BURN_LENGTH)) for _ in range(count)]:
+                future.result()
+
+        for _ in range(2):  # start every worker before the clock runs
+            burns(processes)
+        timing = paired_timing(lambda: burns(1), lambda: burns(processes), rounds=rounds)
+    return processes * timing.ratio, processes * timing.noise
 
 
 #: The reproduced rows of every figure/table are appended here so they remain

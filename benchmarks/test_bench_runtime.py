@@ -12,11 +12,14 @@ Two comparisons, recorded into ``benchmark_report.txt``:
   spawned) before the clock starts, so worker spawn and weight shipping —
   a one-time cost a serving deployment pays at startup — is not billed.
   Per-target seeding makes both runs bit-identical; the timing bar is
-  *core-aware*: the pool must beat serial outright (>1.0x) whenever the
-  host has at least 2 cores, and reach the 2.5x acceptance bar on hosts
-  with 4+ cores.  On a single-core host no speedup is physically
-  available, so only identity is asserted and the entry says so rather
-  than faking a ratio.
+  *capacity-aware*: a paired probe (``conftest.parallel_capacity``: N
+  CPU-bound processes against one, paired-median) measures how many cores'
+  worth of throughput the pool's N processes get, before and after the
+  timed runs.  The pool must beat serial outright (>1.0x) when the host
+  gives at least 2 cores' worth, and reach the 2.5x acceptance bar at 4.
+  A host that gives one core's worth, whatever ``os.cpu_count()`` says,
+  has no speedup physically available, so only identity is asserted and
+  the entry records the measured capacity rather than faking a ratio.
 
   Entries are tagged with the executor kind (``[... executor=process]``),
   so report lines from different execution modes are never compared as if
@@ -34,6 +37,8 @@ import repro.nn as nn
 from repro.core import Tasfar, TasfarConfig
 from repro.runtime import AdaptationService
 from repro.uncertainty import MCDropoutPredictor
+
+from conftest import parallel_capacity
 
 
 def best_time(fn, repeats=5):
@@ -116,7 +121,7 @@ def make_service_fixture():
 def test_multi_target_service_serial_vs_pooled(record_bench, perf_check):
     model, calibration, config, fleet = make_service_fixture()
     cores = os.cpu_count() or 1
-    workers = min(4, cores)
+    processes = max(min(4, cores), 2)
 
     def adapt_with(workers):
         service = AdaptationService(model, calibration, config=config)
@@ -131,8 +136,13 @@ def test_multi_target_service_serial_vs_pooled(record_bench, perf_check):
         finally:
             service.close()
 
+    # The probe brackets the timed runs: the host's capacity can change
+    # between windows, and the bar reads the lower of the two readings.
+    before, before_noise = parallel_capacity(processes)
     serial_time, serial_reports = adapt_with(1)
-    process_time, process_reports = adapt_with(max(workers, 2))
+    process_time, process_reports = adapt_with(processes)
+    after, after_noise = parallel_capacity(processes)
+    capacity = min(before, after)
 
     # Per-target seeding makes the pooled run bit-identical to serial.
     for name in fleet:
@@ -142,22 +152,28 @@ def test_multi_target_service_serial_vs_pooled(record_bench, perf_check):
     entry = (
         f"[bench_runtime] AdaptationService, {len(fleet)} targets x 40 samples, "
         f"{cores} core(s)\n"
+        f"measured parallel capacity: {before:.2f} before, {after:.2f} after "
+        f"(cores' worth for {processes} processes, noise ±{max(before_noise, after_noise):.2f})\n"
         f"serial:                     {serial_time * 1e3:8.1f} ms\n"
-        f"processes ({max(workers, 2)} workers):      {process_time * 1e3:8.1f} ms  "
+        f"processes ({processes} workers):      {process_time * 1e3:8.1f} ms  "
         f"(identical results, speedup {process_speedup:.2f}x)"
     )
     print("\n" + entry)
     record_bench(entry, tags={"executor": "serial+process"})
 
-    # Core-aware bars: a single-core host has no parallelism to measure —
-    # asserting a ratio there would test the scheduler, not the code.
-    if cores >= 4:
+    # Capacity-aware bars: 90% of N cores' worth counts as N cores.  Short
+    # of two, whatever ``os.cpu_count()`` says, the host has no parallelism
+    # a bar can rely on; asserting a ratio there would test the scheduler,
+    # not the code.
+    if capacity >= 3.6:
         perf_check(
             process_speedup >= 2.5,
-            f"process pool speedup {process_speedup:.2f}x < 2.5x on {cores} cores",
+            f"process pool speedup {process_speedup:.2f}x < 2.5x at a measured "
+            f"capacity of {capacity:.2f} cores",
         )
-    elif cores >= 2:
+    elif capacity >= 1.8:
         perf_check(
             process_speedup > 1.0,
-            f"process pool speedup {process_speedup:.2f}x <= 1.0x on {cores} cores",
+            f"process pool speedup {process_speedup:.2f}x <= 1.0x at a measured "
+            f"capacity of {capacity:.2f} cores",
         )

@@ -17,7 +17,8 @@ class ReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._mask = inputs > 0
+        if self.training:
+            self._mask = inputs > 0
         # Bit-equal to ``np.where(inputs > 0, inputs, 0.0)`` at a fraction of
         # its cost: ``fmax`` maps NaN to 0 and ``+= 0.0`` turns -0.0 into +0.0.
         outputs = np.fmax(inputs, 0.0)
@@ -39,8 +40,10 @@ class LeakyReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._mask = inputs > 0
-        return np.where(self._mask, inputs, self.negative_slope * inputs)
+        mask = inputs > 0
+        if self.training:
+            self._mask = mask
+        return np.where(mask, inputs, self.negative_slope * inputs)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -56,8 +59,10 @@ class Tanh(Module):
         self._output: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(inputs)
-        return self._output
+        output = np.tanh(inputs)
+        if self.training:
+            self._output = output
+        return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._output is None:
@@ -73,8 +78,10 @@ class Sigmoid(Module):
         self._output: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = 1.0 / (1.0 + np.exp(-np.clip(inputs, -60.0, 60.0)))
-        return self._output
+        output = 1.0 / (1.0 + np.exp(-np.clip(inputs, -60.0, 60.0)))
+        if self.training:
+            self._output = output
+        return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._output is None:
@@ -90,7 +97,8 @@ class Softplus(Module):
         self._inputs: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._inputs = inputs
+        if self.training:
+            self._inputs = inputs
         return np.logaddexp(0.0, inputs)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

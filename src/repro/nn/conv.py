@@ -88,7 +88,8 @@ class Conv1d(Module):
         for k in range(self.kernel_size):
             out_span, in_span = _tap_slices(k * self.dilation - self.padding, 1, length, out_length)
             columns[:, out_span, :, k] = channels_last[:, in_span]
-        self._cache = (columns, length)
+        if self.training:
+            self._cache = (columns, length)
         flat = columns.reshape(batch * out_length, self.in_channels * self.kernel_size)
         kernel = self.weight.data.transpose(0, 2, 1).reshape(
             self.in_channels * self.kernel_size, self.out_channels
@@ -172,7 +173,8 @@ class Conv2d(Module):
             for j in range(k):
                 cols_out, cols_in = _tap_slices(j - pad, stride, width, out_w)
                 columns[:, rows_out, cols_out, :, i, j] = channels_last[:, rows_in, cols_in]
-        self._cache = (columns, (height, width))
+        if self.training:
+            self._cache = (columns, (height, width))
         flat = columns.reshape(batch * out_h * out_w, self.in_channels * k * k)
         kernel = self.weight.data.transpose(0, 2, 3, 1).reshape(self.in_channels * k * k, self.out_channels)
         output = flat @ kernel + self.bias.data
@@ -221,10 +223,11 @@ class MaxPool2d(Module):
         trimmed = inputs[:, :, : out_h * p, : out_w * p]
         windows = trimmed.reshape(batch, channels, out_h, p, out_w, p)
         output = windows.max(axis=(3, 5))
-        mask = windows == output[:, :, :, None, :, None]
-        # Break ties so the gradient is routed to exactly one element per window.
-        counts = mask.sum(axis=(3, 5), keepdims=True)
-        self._cache = (mask / counts, inputs.shape)
+        if self.training:
+            mask = windows == output[:, :, :, None, :, None]
+            # Break ties so the gradient is routed to exactly one element per window.
+            counts = mask.sum(axis=(3, 5), keepdims=True)
+            self._cache = (mask / counts, inputs.shape)
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -249,7 +252,8 @@ class GlobalAveragePool2d(Module):
         self._shape: tuple[int, ...] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._shape = inputs.shape
+        if self.training:
+            self._shape = inputs.shape
         return inputs.mean(axis=(2, 3))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -270,7 +274,8 @@ class GlobalAveragePool1d(Module):
         self._shape: tuple[int, ...] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._shape = inputs.shape
+        if self.training:
+            self._shape = inputs.shape
         return inputs.mean(axis=2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -290,7 +295,8 @@ class Flatten(Module):
         self._shape: tuple[int, ...] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._shape = inputs.shape
+        if self.training:
+            self._shape = inputs.shape
         return inputs.reshape(inputs.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -63,7 +63,8 @@ class Dropout(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if not self.stochastic:
-            self._mask = None
+            if self.training:
+                self._mask = None
             return inputs
         keep = 1.0 - self.rate
         rng = self._mc_rng if self._mc_rng is not None else self.rng

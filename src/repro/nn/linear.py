@@ -65,7 +65,8 @@ class Linear(Module):
             raise ValueError(
                 f"expected input with {self.in_features} features, got {inputs.shape[-1]}"
             )
-        self._inputs = inputs
+        if self.training:
+            self._inputs = inputs
         output = inputs @ self.weight.data
         if self.bias is not None:
             output = output + self.bias.data

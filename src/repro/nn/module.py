@@ -1,9 +1,16 @@
 """Base class for all layers and models in the numpy substrate.
 
-The substrate uses explicit layer-wise backpropagation: every module caches
-whatever it needs during ``forward`` and implements ``backward`` that maps the
-gradient of the loss with respect to its output into the gradient with respect
-to its input, accumulating parameter gradients along the way.
+The substrate uses explicit layer-wise backpropagation: every module
+implements ``backward`` that maps the gradient of the loss with respect to its
+output into the gradient with respect to its input, accumulating parameter
+gradients along the way.
+
+A forward stores what its backward reads (the attributes named in
+:data:`BACKWARD_STATE`) only in training mode.  Evaluation, serving and
+MC-dropout forwards keep nothing, except that a dropout layer in MC mode keeps
+the mask it drew.  :meth:`Module.eval` clears that state, and copies and
+pickles leave it out, so a model carries only its parameters, dropout
+generators and structure.
 """
 
 from __future__ import annotations
@@ -14,15 +21,19 @@ import numpy as np
 
 from .parameter import Parameter
 
-__all__ = ["Module"]
+__all__ = ["BACKWARD_STATE", "Module"]
+
+#: The attributes a forward stores for its backward, across every layer.
+BACKWARD_STATE = ("_cache", "_mask", "_inputs", "_shape", "_output")
 
 
 class Module:
     """Base class for layers, containers and models.
 
     Subclasses implement :meth:`forward` and :meth:`backward`.  The ``training``
-    flag controls behaviour of stochastic layers (dropout, batch-norm); it is
-    toggled through :meth:`train` and :meth:`eval`.
+    flag controls behaviour of stochastic layers (dropout, batch-norm) and
+    whether a forward keeps backward state; it is toggled through
+    :meth:`train` and :meth:`eval`.
     """
 
     def __init__(self) -> None:
@@ -83,10 +94,21 @@ class Module:
         return self
 
     def eval(self) -> "Module":
-        """Put the module (and sub-modules) in evaluation mode."""
+        """Put the module (and sub-modules) in evaluation mode.
+
+        Also drops every sub-module's backward state, so a model leaving
+        training keeps no activations of its last batch.
+        """
         for module in self.modules():
             module.training = False
+            _drop_backward_state(module.__dict__)
         return self
+
+    def __getstate__(self) -> dict:
+        """Pickle and ``copy.deepcopy`` state: everything but backward state."""
+        state = self.__dict__.copy()
+        _drop_backward_state(state)
+        return state
 
     # ------------------------------------------------------------------
     # State handling
@@ -120,6 +142,12 @@ class Module:
                     f"{value.shape} vs {param.data.shape}"
                 )
             param.data[...] = value
+
+
+def _drop_backward_state(fields: dict) -> None:
+    for name in BACKWARD_STATE:
+        if fields.get(name) is not None:
+            fields[name] = None
 
 
 def _collect_parameters(value: object) -> list[Parameter]:

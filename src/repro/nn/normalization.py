@@ -45,7 +45,8 @@ class BatchNorm1d(Module):
             var = self.running_var
         std = np.sqrt(var + self.eps)
         normalized = (inputs - mean) / std
-        self._cache = (normalized, std, inputs - mean)
+        if self.training:
+            self._cache = (normalized, std, inputs - mean)
         return self.gamma.data * normalized + self.beta.data
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -56,8 +57,6 @@ class BatchNorm1d(Module):
         self.gamma.accumulate_grad((grad_output * normalized).sum(axis=0))
         self.beta.accumulate_grad(grad_output.sum(axis=0))
         grad_norm = grad_output * self.gamma.data
-        if not self.training:
-            return grad_norm / std
         grad_var = (-0.5 * (grad_norm * centered).sum(axis=0)) / std**3
         grad_mean = -grad_norm.sum(axis=0) / std + grad_var * (-2.0 * centered.mean(axis=0))
         return grad_norm / std + grad_var * 2.0 * centered / batch + grad_mean / batch
@@ -80,7 +79,8 @@ class LayerNorm(Module):
         var = inputs.var(axis=-1, keepdims=True)
         std = np.sqrt(var + self.eps)
         normalized = (inputs - mean) / std
-        self._cache = (normalized, std)
+        if self.training:
+            self._cache = (normalized, std)
         return self.gamma.data * normalized + self.beta.data
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

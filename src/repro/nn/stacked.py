@@ -124,7 +124,8 @@ class StackedLinear(Module):
             raise ValueError(
                 f"expected input with {self.in_features} features, got {inputs.shape[-1]}"
             )
-        self._inputs = inputs
+        if self.training:
+            self._inputs = inputs
         output = np.matmul(inputs, self.weight.data)
         if self.bias is not None:
             # (K, 1, out) broadcast: element (k, b, o) sees the same scalar
@@ -174,7 +175,8 @@ class StackedDropout(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if not self.stochastic:
-            self._mask = None
+            if self.training:
+                self._mask = None
             return inputs
         keep = 1.0 - self.rate
         mask = np.empty(inputs.shape, dtype=np.float64)
@@ -219,7 +221,8 @@ class StackedLayerNorm(Module):
         var = inputs.var(axis=-1, keepdims=True)
         std = np.sqrt(var + self.eps)
         normalized = (inputs - mean) / std
-        self._cache = (normalized, std)
+        if self.training:
+            self._cache = (normalized, std)
         return self.gamma.data[:, None, :] * normalized + self.beta.data[:, None, :]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -156,9 +156,12 @@ class AdaptationService:
         self.strategy = strategy
         self.max_cached_models = max_cached_models
         self.base_seed = int(base_seed)
-        # Forwards mutate per-call layer caches, so a given model instance
-        # must never forward from two threads at once.  Each cache entry
-        # pairs the model with its own forward lock: the pair is resolved
+        # Evaluation forwards keep no layer state.  An MC-dropout forward
+        # still switches a model's dropout layers into MC mode, draws from
+        # their generators and keeps its masks, so a plain forward beside it
+        # on the same instance would sample dropout too: a given model
+        # instance must never forward from two threads at once.  Each cache
+        # entry pairs the model with its own forward lock: the pair is resolved
         # atomically and the lock dies with the entry on eviction, so two
         # threads holding the same instance always hold the same lock, and
         # the lock table stays as bounded as the model cache.  The shared

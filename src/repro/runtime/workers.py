@@ -99,7 +99,7 @@ def run_task(
     one ``strategy.adapt_stacked`` call (``train_batching``), so schemes and
     models without a stacked path only ever see the serial call.  Every job
     adapts a private deep copy of its start model — concurrent tasks never
-    share forward caches — and per-job failures come back as data, so one
+    share a model in training — and per-job failures come back as data, so one
     bad target does not poison its stack-mates.  The jobs of a task share
     one wall clock, which every report carries as its duration.
     """

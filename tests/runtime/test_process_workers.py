@@ -25,7 +25,7 @@ from repro.runtime import (
     WorkerCrashError,
 )
 
-from repro.runtime.workers import _warm_compute_path
+from repro.runtime.workers import _WORKER_STATE, _init_worker, _warm_compute_path, _worker_run
 
 from test_service import build_service, fast_config, make_source, make_targets
 
@@ -47,6 +47,16 @@ def prepared_strategy(scheme, source):
             source_data=nn.ArrayDataset(inputs, targets), calibration=calibration
         ),
     )
+
+
+def calibrated_tasfar(model, shape):
+    """A TASFAR strategy calibrated on random inputs of ``shape`` for ``model``."""
+    rng = np.random.default_rng(0)
+    inputs = rng.normal(size=shape)
+    model.eval()
+    labels = model.forward(inputs) + 0.1 * rng.normal(size=(shape[0], 1))
+    calibration = Tasfar(fast_config()).calibrate_on_source(model, inputs, labels)
+    return create_strategy("tasfar", config=fast_config(), calibration=calibration)
 
 
 class TestExecutorSelection:
@@ -122,15 +132,27 @@ class TestComputeWarmUp:
         ids=["tcn", "mcnn"],
     )
     def test_conv_models_get_a_probe_shape(self, model, shape):
-        rng = np.random.default_rng(0)
-        inputs = rng.normal(size=shape)
-        model.eval()
-        labels = model.forward(inputs) + 0.1 * rng.normal(size=(shape[0], 1))
-        calibration = Tasfar(fast_config()).calibrate_on_source(model, inputs, labels)
-        strategy = create_strategy("tasfar", config=fast_config(), calibration=calibration)
+        strategy = calibrated_tasfar(model, shape)
         before = parameter_bytes(model)
         assert _warm_compute_path(strategy, model)
         assert parameter_bytes(model) == before
+
+
+class TestWorkerResultSize:
+    def test_tcn_job_result_pickles_to_about_its_parameters(self):
+        # A result crosses the process boundary by pickle: it carries the
+        # adapted model's parameters and structure, not the activations of
+        # its last fine-tune batch.
+        model = nn.build_tcn_regressor(6, 20, seed=0)
+        _init_worker(model, calibrated_tasfar(model, (40, 6, 20)))
+        try:
+            target = np.random.default_rng(1).normal(size=(40, 6, 20))
+            results, _delta = _worker_run([("user", target, 3, None)], None)
+        finally:
+            _WORKER_STATE.clear()
+        [(_report, outcome, error)] = results
+        assert error is None
+        assert len(pickle.dumps(results)) <= 3 * len(parameter_bytes(outcome.target_model))
 
 
 class TestAttachedPool:
