@@ -67,6 +67,8 @@ class PairedTiming:
     #: Half the interquartile range of the per-round ratios: the noise this
     #: run's own pairs showed.
     noise: float
+    #: The per-round ratios themselves, in round order.
+    ratios: list[float]
 
 
 def paired_timing(first, second, rounds: int = 15, repeats: int = 1) -> PairedTiming:
@@ -103,6 +105,7 @@ def paired_timing(first, second, rounds: int = 15, repeats: int = 1) -> PairedTi
         second=statistics.median(second_times),
         ratio=statistics.median(ratios),
         noise=(quartiles[2] - quartiles[0]) / 2,
+        ratios=ratios,
     )
 
 
@@ -111,16 +114,16 @@ def paired_timing(first, second, rounds: int = 15, repeats: int = 1) -> PairedTi
 _BURN_LENGTH = 2_000_000
 
 
-def parallel_capacity(processes: int, rounds: int = 11) -> tuple[float, float]:
+def parallel_capacity(processes: int) -> list[float]:
     """Measure how many cores' worth of CPU ``processes`` processes get at once.
 
     ``os.cpu_count()`` counts cores, not the throughput a shared host gives
     concurrent processes.  This probe starts ``processes`` workers, then
     times one CPU-bound burn alone against ``processes`` identical burns at
-    once, by :func:`paired_timing`.  Returns ``(capacity, noise)`` in cores:
-    ``processes`` times the median of solo time over concurrent time, and
-    the same multiple of the paired ratios' half-IQR.  A host that runs the
-    burns fully in parallel reads ``processes``; one core's worth reads 1.
+    once, by :func:`paired_timing` over 11 rounds.  Returns one reading per
+    round, in cores: ``processes`` times that round's solo time over its
+    concurrent time.  A host that runs the burns fully in parallel reads
+    ``processes``; one core's worth reads 1.
     """
     # Spawned, not forked: the benchmark session may be running threads.
     context = multiprocessing.get_context("spawn")
@@ -132,8 +135,8 @@ def parallel_capacity(processes: int, rounds: int = 11) -> tuple[float, float]:
 
         for _ in range(2):  # start every worker before the clock runs
             burns(processes)
-        timing = paired_timing(lambda: burns(1), lambda: burns(processes), rounds=rounds)
-    return processes * timing.ratio, processes * timing.noise
+        timing = paired_timing(lambda: burns(1), lambda: burns(processes), rounds=11)
+    return [processes * ratio for ratio in timing.ratios]
 
 
 #: The reproduced rows of every figure/table are appended here so they remain

@@ -15,11 +15,12 @@ Two comparisons, recorded into ``benchmark_report.txt``:
   *capacity-aware*: a paired probe (``conftest.parallel_capacity``: N
   CPU-bound processes against one, paired-median) measures how many cores'
   worth of throughput the pool's N processes get, before and after the
-  timed runs.  The pool must beat serial outright (>1.0x) when the host
-  gives at least 2 cores' worth, and reach the 2.5x acceptance bar at 4.
-  A host that gives one core's worth, whatever ``os.cpu_count()`` says,
-  has no speedup physically available, so only identity is asserted and
-  the entry records the measured capacity rather than faking a ratio.
+  timed runs; the bar reads the median of both probes' readings pooled.
+  The pool must beat serial outright (>1.0x) when the host gives at least
+  2 cores' worth, and reach the 2.5x acceptance bar at 4.  A host that
+  gives one core's worth, whatever ``os.cpu_count()`` says, has no speedup
+  physically available, so only identity is asserted.  The entry records
+  the measured capacity and which bar applied, so a skipped bar shows.
 
   Entries are tagged with the executor kind (``[... executor=process]``),
   so report lines from different execution modes are never compared as if
@@ -29,6 +30,7 @@ Two comparisons, recorded into ``benchmark_report.txt``:
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -136,44 +138,51 @@ def test_multi_target_service_serial_vs_pooled(record_bench, perf_check):
         finally:
             service.close()
 
-    # The probe brackets the timed runs: the host's capacity can change
-    # between windows, and the bar reads the lower of the two readings.
-    before, before_noise = parallel_capacity(processes)
+    # The probe brackets the timed runs, because the host's capacity can
+    # change between windows.  The bar reads the median of both probes'
+    # per-round readings pooled: it leans neither toward applying a bar
+    # nor toward skipping one.
+    before = parallel_capacity(processes)
     serial_time, serial_reports = adapt_with(1)
     process_time, process_reports = adapt_with(processes)
-    after, after_noise = parallel_capacity(processes)
-    capacity = min(before, after)
+    after = parallel_capacity(processes)
+    readings = before + after
+    capacity = statistics.median(readings)
+    quartiles = statistics.quantiles(readings, n=4)
+    noise = (quartiles[2] - quartiles[0]) / 2
 
     # Per-target seeding makes the pooled run bit-identical to serial.
     for name in fleet:
         assert serial_reports[name].losses == process_reports[name].losses
 
+    # Capacity-aware bars: 90% of N cores' worth counts as N cores.  Short
+    # of two, whatever ``os.cpu_count()`` says, the host has no parallelism
+    # a bar can rely on; asserting a ratio there would test the scheduler,
+    # not the code.
     process_speedup = serial_time / process_time
+    if capacity >= 3.6:
+        bar = ">= 2.5x"
+        passed = process_speedup >= 2.5
+    elif capacity >= 1.8:
+        bar = "> 1.0x"
+        passed = process_speedup > 1.0
+    else:
+        bar = "identity only"
+        passed = True
     entry = (
         f"[bench_runtime] AdaptationService, {len(fleet)} targets x 40 samples, "
         f"{cores} core(s)\n"
-        f"measured parallel capacity: {before:.2f} before, {after:.2f} after "
-        f"(cores' worth for {processes} processes, noise ±{max(before_noise, after_noise):.2f})\n"
+        f"measured parallel capacity: {capacity:.2f} ±{noise:.2f} cores' worth for "
+        f"{processes} processes (probe medians {statistics.median(before):.2f} before, "
+        f"{statistics.median(after):.2f} after); bar applied: {bar}\n"
         f"serial:                     {serial_time * 1e3:8.1f} ms\n"
         f"processes ({processes} workers):      {process_time * 1e3:8.1f} ms  "
         f"(identical results, speedup {process_speedup:.2f}x)"
     )
     print("\n" + entry)
     record_bench(entry, tags={"executor": "serial+process"})
-
-    # Capacity-aware bars: 90% of N cores' worth counts as N cores.  Short
-    # of two, whatever ``os.cpu_count()`` says, the host has no parallelism
-    # a bar can rely on; asserting a ratio there would test the scheduler,
-    # not the code.
-    if capacity >= 3.6:
-        perf_check(
-            process_speedup >= 2.5,
-            f"process pool speedup {process_speedup:.2f}x < 2.5x at a measured "
-            f"capacity of {capacity:.2f} cores",
-        )
-    elif capacity >= 1.8:
-        perf_check(
-            process_speedup > 1.0,
-            f"process pool speedup {process_speedup:.2f}x <= 1.0x at a measured "
-            f"capacity of {capacity:.2f} cores",
-        )
+    perf_check(
+        passed,
+        f"process pool speedup {process_speedup:.2f}x misses the {bar} bar at a "
+        f"measured capacity of {capacity:.2f} cores",
+    )
