@@ -68,13 +68,14 @@ class AugFree(BaselineStrategy):
         rngs = [np.random.default_rng(job.seed) for job in jobs]
         models = [copy.deepcopy(job.model) for job in jobs]
         datasets = []
-        for job in jobs:
+        for job, model in zip(jobs, models):
             # The teacher signal is each replica's start-model prediction on
             # the clean target input (the student sees the perturbed input);
-            # a plain per-replica forward, trivially bit-identical.
+            # a plain per-replica forward of the untrained clone, trivially
+            # bit-identical.
             target_arr = np.asarray(job.inputs, dtype=np.float64)
-            job.model.eval()
-            datasets.append(ArrayDataset(target_arr, job.model.forward(target_arr)))
+            model.eval()
+            datasets.append(ArrayDataset(target_arr, model.forward(target_arr)))
         stacked = stack_modules(models)
         optimizer = StackedAdam(stacked.parameters(), n_replicas, lr=self.lr)
         per_loss = PerReplicaLoss(MSELoss())

@@ -127,8 +127,10 @@ class Tasfar:
         if source_labels.shape[0] != len(source_inputs):
             raise ValueError("source_inputs and source_labels must have the same length")
 
+        # The probe runs on a private copy: it would leave its MC masks on
+        # the caller's model, which outlives the calibration.
         predictor = MCDropoutPredictor(
-            source_model,
+            copy.deepcopy(source_model),
             n_samples=self.config.n_mc_samples,
             seed=stream_seed_sequence(self.config.seed, CALIBRATION_STREAM),
         )
@@ -214,12 +216,17 @@ class Tasfar:
             try:
                 seed = self.config.seed if seed is None else int(seed)
                 rng = np.random.default_rng(seed)
+                # Probe the job's own copy, never the caller's model (which
+                # may be serving on other threads); eval() then drops the
+                # probe's masks before the copy trains or is returned.
+                target_model = copy.deepcopy(source_model)
                 predictor = MCDropoutPredictor(
-                    source_model,
+                    target_model,
                     n_samples=self.config.n_mc_samples,
                     seed=stream_seed_sequence(seed, ADAPTATION_STREAM),
                 )
                 prediction = predictor.predict(target_inputs)
+                target_model.eval()
                 classifier = ConfidenceClassifier(self.config.confidence_ratio)
                 classifier.threshold = calibration.threshold
                 split = classifier.split(prediction.uncertainty)
@@ -239,7 +246,7 @@ class Tasfar:
                     "split": split,
                     "density_map": density_map,
                     "pseudo_batch": pseudo_batch,
-                    "target_model": copy.deepcopy(source_model),
+                    "target_model": target_model,
                     "dataset": self.build_adaptation_dataset(
                         target_inputs, prediction, split, pseudo_batch
                     ),

@@ -78,9 +78,10 @@ class StrategyOutcome:
 class StackJob:
     """One target's slot in a stacked (``train_batching > 1``) adaptation call.
 
-    ``model`` is the start model for this target — the caller's per-target
-    copy of the source model, or a previously adapted model for warm starts.
-    The scheme clones it before training, exactly as :meth:`adapt` would.
+    ``model`` is the start model for this target — the source model, or a
+    previously adapted model for warm starts.  Jobs may share one instance,
+    and it may be serving on other threads: the scheme probes and trains a
+    clone of it, exactly as :meth:`adapt` would, and never mutates it.
     """
 
     model: RegressionModel

@@ -58,10 +58,8 @@ from .workers import AdaptationWorkerPool, Job, JobResult, run_task
 
 __all__ = ["AdaptationService", "canonical_target_id"]
 
-#: A cache entry: the adapted model with its own forward lock.
-_Entry = tuple[RegressionModel, threading.Lock]
-#: An evicted entry waiting for its snapshot: ``(target_id, entry, report)``.
-_Spill = tuple[str, _Entry, AdaptationReport]
+#: An evicted model waiting for its snapshot: ``(target_id, model, report)``.
+_Spill = tuple[str, RegressionModel, AdaptationReport]
 
 
 def canonical_target_id(target_id: object) -> str:
@@ -156,20 +154,14 @@ class AdaptationService:
         self.strategy = strategy
         self.max_cached_models = max_cached_models
         self.base_seed = int(base_seed)
-        # Evaluation forwards keep no layer state.  An MC-dropout forward
-        # still switches a model's dropout layers into MC mode, draws from
-        # their generators and keeps its masks, so a plain forward beside it
-        # on the same instance would sample dropout too: a given model
-        # instance must never forward from two threads at once.  Each cache
-        # entry pairs the model with its own forward lock: the pair is resolved
-        # atomically and the lock dies with the entry on eviction, so two
-        # threads holding the same instance always hold the same lock, and
-        # the lock table stays as bounded as the model cache.  The shared
-        # source model keeps a global forward lock.
-        self._models: OrderedDict[str, _Entry] = OrderedDict()
+        # Evaluation forwards write no layer state, and MC-dropout probes
+        # (the one forward that does) run on private copies, so the source
+        # model and every cached model forward from many threads at once
+        # without a lock.  ``self._lock`` guards only the cache and report
+        # bookkeeping.
+        self._models: OrderedDict[str, RegressionModel] = OrderedDict()
         self._reports: dict[str, AdaptationReport] = {}
         self._lock = threading.Lock()
-        self._forward_lock = threading.Lock()
         # Evicted entries whose snapshot is not on disk yet, newest per
         # target (guarded by ``self._lock``): a miss re-admits from here
         # instead of reading a stale or missing file.  One writer at a time
@@ -363,7 +355,7 @@ class AdaptationService:
         """Record a finished adaptation in the report table and the LRU cache."""
         with self._lock:
             self._reports[target_id] = report
-            self._models[target_id] = (model, threading.Lock())
+            self._models[target_id] = model
             self._models.move_to_end(target_id)
             self._evict_over_capacity_locked()
         self._drain_spills()
@@ -371,36 +363,35 @@ class AdaptationService:
     def _evict_over_capacity_locked(self) -> None:
         """Pop LRU entries past capacity and queue their spills (``self._lock`` held)."""
         while len(self._models) > self.max_cached_models:
-            evicted_id, entry = self._models.popitem(last=False)
+            evicted_id, model = self._models.popitem(last=False)
             self.metrics.counter("service.cache.evictions", reason="capacity")
-            self._queue_spill_locked(evicted_id, entry)
+            self._queue_spill_locked(evicted_id, model)
 
     # ------------------------------------------------------------------
     # Snapshot tier (spill on evict, resume on next touch)
     # ------------------------------------------------------------------
-    def _queue_spill_locked(self, target_id: str, entry: _Entry) -> None:
-        """Queue an evicted entry for the snapshot tier (``self._lock`` held)."""
+    def _queue_spill_locked(self, target_id: str, model: RegressionModel) -> None:
+        """Queue an evicted model for the snapshot tier (``self._lock`` held)."""
         report = self._reports.get(target_id)
         if self.snapshot_store is not None and report is not None:
-            spill = (target_id, entry, report)
+            spill = (target_id, model, report)
             self._spilling[target_id] = spill
             self._spill_queue.append(spill)
 
-    def _readmit_locked(self, target_id: str) -> _Entry | None:
+    def _readmit_locked(self, target_id: str) -> RegressionModel | None:
         """Put a target whose spill is still in flight back in the cache.
 
-        Its in-memory model — with the same forward lock, since other
-        threads may still be forwarding it — is the newest state of the
-        target; the file may be older or not written yet.  Must run under
-        ``self._lock``; the caller drains the spills this admission queues.
+        Its in-memory model is the newest state of the target; the file may
+        be older or not written yet.  Must run under ``self._lock``; the
+        caller drains the spills this admission queues.
         """
         spill = self._spilling.get(target_id)
         if spill is None:
             return None
-        entry = spill[1]
-        self._models[target_id] = entry
+        model = spill[1]
+        self._models[target_id] = model
         self._evict_over_capacity_locked()
-        return entry
+        return model
 
     def _snapshot_stream_state(self, target_id: str) -> dict | None:
         """Streaming drift state for a spilling target (batch service: none).
@@ -433,7 +424,7 @@ class AdaptationService:
                         spill = self._spill_queue.popleft()
                         if self._spilling.get(spill[0]) is not spill:
                             continue
-                    target_id, (model, _forward_lock), report = spill
+                    target_id, model, report = spill
                     try:
                         store.save(
                             target_id,
@@ -454,12 +445,12 @@ class AdaptationService:
                 if not self._spill_queue:
                     return
 
-    def _resume_from_snapshot(self, target_id: str) -> _Entry | None:
+    def _resume_from_snapshot(self, target_id: str) -> RegressionModel | None:
         """Rebuild a target's adapted model from its snapshot, if one exists.
 
-        Returns the freshly cached ``(model, forward_lock)`` entry, or
-        ``None`` for a clean miss.  A snapshot that exists but cannot be
-        trusted (checksum, schema, structure) is counted as
+        Returns the freshly cached model, or ``None`` for a clean miss.  A
+        snapshot that exists but cannot be trusted (checksum, schema,
+        structure) is counted as
         ``snapshots.corrupt``, deleted — so it is detected exactly once and
         the accounting invariant ``resumed + corrupt <= spilled`` holds —
         and treated as a miss; the caller then cold-adapts as before.
@@ -480,14 +471,15 @@ class AdaptationService:
             self.metrics.counter("snapshots.corrupt")
             return None
         model.eval()
-        entry = (model, threading.Lock())
         with self._lock:
             # A concurrent resume, re-adaptation or eviction may have won
             # the race while we were reading disk; keep its state.
-            current = self._models.get(target_id) or self._readmit_locked(target_id)
+            current = self._models.get(target_id)
+            if current is None:
+                current = self._readmit_locked(target_id)
             if current is None:
                 self._reports[target_id] = report
-                self._models[target_id] = entry
+                self._models[target_id] = model
                 self._evict_over_capacity_locked()
             else:
                 self._models.move_to_end(target_id)
@@ -496,7 +488,7 @@ class AdaptationService:
             return current
         self.metrics.counter("snapshots.resumed")
         self.metrics.observe("snapshots.resume_seconds", watch.elapsed())
-        return entry
+        return model
 
     def check_train_batching(self, train_batching: int) -> int:
         """Validate a ``train_batching`` knob against the scheme and model.
@@ -534,13 +526,12 @@ class AdaptationService:
         """Adapt one ``train_batching`` group of targets as one task.
 
         ``entries`` are ``(target_id, inputs, seed)`` with ``seed=None``
-        meaning the usual :meth:`target_seed`.  Each job gets a private deep
-        copy of the source model (schemes may forward through their start
-        model), so results are bit-identical to per-target :meth:`adapt`
-        calls.  Successes are stored; per-job failures are returned as data
-        in input order for the caller's error policy (the serving gateway
-        answers them as error envelopes, :meth:`adapt_many` raises the
-        first).
+        meaning the usual :meth:`target_seed`.  Each job's scheme adapts its
+        own copy of the source model, so results are bit-identical to
+        per-target :meth:`adapt` calls.  Successes are stored; per-job
+        failures are returned as data in input order for the caller's error
+        policy (the serving gateway answers them as error envelopes,
+        :meth:`adapt_many` raises the first).
         """
         task = [
             (
@@ -632,8 +623,8 @@ class AdaptationService:
             f"adapt({target_id!r}, inputs) first"
         )
 
-    def _model_and_lock(self, target_id: str) -> _Entry | None:
-        """Atomically resolve a cached model together with its forward lock.
+    def _cached_model(self, target_id: str) -> RegressionModel | None:
+        """Resolve a target's cached model, resuming it when it was spilled.
 
         On a cache miss with a snapshot tier attached, the target's model is
         re-admitted from an in-flight spill or warm-resumed from disk
@@ -644,14 +635,14 @@ class AdaptationService:
         """
         target_id = canonical_target_id(target_id)
         with self._lock:
-            entry = self._models.get(target_id)
-            if entry is not None:
+            model = self._models.get(target_id)
+            if model is not None:
                 self._models.move_to_end(target_id)
-                return entry
-            entry = self._readmit_locked(target_id)
-        if entry is not None:
+                return model
+            model = self._readmit_locked(target_id)
+        if model is not None:
             self._drain_spills()
-            return entry
+            return model
         return self._resume_from_snapshot(target_id)
 
     def model_for(self, target_id: str, required: bool = False) -> RegressionModel | None:
@@ -661,24 +652,23 @@ class AdaptationService:
         whose message says whether the target was never adapted or merely
         evicted from the LRU cache, instead of handing back ``None``.
 
-        The returned model is the cached instance, not a copy; its layers
-        cache per-forward state, so don't run it from several threads at
-        once (deep-copy it per worker, or go through :meth:`predict`).
+        The returned model is the cached instance, not a copy, and other
+        threads may be forwarding it: evaluation forwards are safe beside
+        them, but anything that changes its mode or parameters (training,
+        an MC-dropout probe) needs a copy first.
         """
-        entry = self._model_and_lock(target_id)
-        if entry is None:
-            if required:
-                raise self._missing_model_error(canonical_target_id(target_id))
-            return None
-        return entry[0]
+        model = self._cached_model(target_id)
+        if model is None and required:
+            raise self._missing_model_error(canonical_target_id(target_id))
+        return model
 
     def _predict_entry(
         self, target_id: str, strict: bool = False, count_metrics: bool = True
-    ) -> tuple[RegressionModel, threading.Lock, bool]:
+    ) -> tuple[RegressionModel, bool]:
         """Resolve the model a prediction for ``target_id`` must run on.
 
-        Returns ``(model, forward_lock, fallback)`` where ``fallback`` says
-        the shared source model was substituted for a missing adapted model.
+        Returns ``(model, fallback)`` where ``fallback`` says the shared
+        source model was substituted for a missing adapted model.
         This is the seam the serving gateway's micro-batcher shares with
         :meth:`predict`: both resolve requests to the same model instances,
         so coalesced and per-request predictions are computed on identical
@@ -688,19 +678,18 @@ class AdaptationService:
         micro-batcher uses it to tally a whole burst locally and issue one
         aggregated counter per outcome instead of one per request.
         """
-        entry = self._model_and_lock(target_id)
-        if entry is None:
+        model = self._cached_model(target_id)
+        if model is None:
             if strict:
                 if count_metrics:
                     self.metrics.counter("service.cache.strict_misses")
                 raise self._missing_model_error(canonical_target_id(target_id))
             if count_metrics:
                 self.metrics.counter("service.cache.misses")
-            return self._source_model, self._forward_lock, True
+            return self._source_model, True
         if count_metrics:
             self.metrics.counter("service.cache.hits")
-        model, forward_lock = entry
-        return model, forward_lock, False
+        return model, False
 
     def predict(
         self,
@@ -718,17 +707,15 @@ class AdaptationService:
         a :class:`KeyError` distinguishing "never adapted" from "evicted
         from the LRU cache".
 
-        Thread-safe: forwards are serialized under a lock because the layers
-        cache per-call state (a concurrent forward on a shared model would
-        corrupt it).  For parallel serving throughput, go through the
-        :class:`~repro.serve.Gateway` (which micro-batches across targets)
-        or take :meth:`model_for` copies into per-worker hands.
+        Thread-safe without a lock: an evaluation forward writes no layer
+        state, so any number of threads may forward one model at once.  For
+        serving throughput, go through the :class:`~repro.serve.Gateway`
+        (which micro-batches across targets).
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-        model, forward_lock, _ = self._predict_entry(target_id, strict=strict)
-        with forward_lock:
-            return predict_batched(model, inputs, batch_size)
+        model, _ = self._predict_entry(target_id, strict=strict)
+        return predict_batched(model, inputs, batch_size)
 
     def evict(self, target_id: str | None = None) -> list[str]:
         """Drop cached adapted models; reports survive.
@@ -749,11 +736,11 @@ class AdaptationService:
                 self._models.clear()
             else:
                 target_id = canonical_target_id(target_id)
-                entry = self._models.pop(target_id, None)
-                popped = [(target_id, entry)] if entry is not None else []
-            for tid, entry in popped:
-                self._queue_spill_locked(tid, entry)
-        evicted = [tid for tid, _entry in popped]
+                model = self._models.pop(target_id, None)
+                popped = [(target_id, model)] if model is not None else []
+            for tid, model in popped:
+                self._queue_spill_locked(tid, model)
+        evicted = [tid for tid, _model in popped]
         if evicted:
             self.metrics.counter("service.cache.evictions", len(evicted), reason="explicit")
         self._drain_spills()

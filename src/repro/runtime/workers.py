@@ -37,7 +37,6 @@ Design points:
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
 import threading
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
@@ -97,23 +96,23 @@ def run_task(
 
     A one-job task is one seeded ``strategy.adapt`` call; a longer task is
     one ``strategy.adapt_stacked`` call (``train_batching``), so schemes and
-    models without a stacked path only ever see the serial call.  Every job
-    adapts a private deep copy of its start model — concurrent tasks never
-    share a model in training — and per-job failures come back as data, so one
-    bad target does not poison its stack-mates.  The jobs of a task share
-    one wall clock, which every report carries as its duration.
+    models without a stacked path only ever see the serial call.  Start
+    models are passed as they are: every scheme trains, and TASFAR probes,
+    a private copy, so the source model and a warm base model may keep
+    serving on other threads meanwhile.  Per-job failures come back as data,
+    so one bad target does not poison its stack-mates.  The jobs of a task
+    share one wall clock, which every report carries as its duration.
     """
-    models = [copy.deepcopy(source_model if base is None else base) for *_, base in task]
     watch = Stopwatch()
     with use_metrics(metrics):
         if len(task) == 1:
             [(_target_id, inputs, seed, base_model)] = task
             try:
                 outcome = strategy.adapt(
-                    models[0],
+                    source_model,
                     inputs,
                     seed=seed,
-                    base_model=models[0] if base_model is not None else None,
+                    base_model=base_model,
                     warm_epochs=warm_epochs,
                 )
                 pairs = [(outcome, None)]
@@ -121,8 +120,8 @@ def run_task(
                 pairs = [(None, exc)]
         else:
             jobs = [
-                StackJob(model=model, inputs=inputs, seed=seed, target_id=target_id)
-                for model, (target_id, inputs, seed, _base) in zip(models, task)
+                StackJob(source_model if base is None else base, inputs, seed, target_id)
+                for target_id, inputs, seed, base in task
             ]
             pairs = strategy.adapt_stacked(jobs, warm_epochs=warm_epochs)
     duration = watch.elapsed()
@@ -163,12 +162,13 @@ def _warm_compute_path(strategy: AdaptationStrategy, source_model: RegressionMod
     every stage), and the first adaptation a pool serves is the one billed
     for it.  The pass goes through :func:`run_task` like any job, so it
     covers the MC-dropout draw, the forward, backward and optimizer steps of
-    the fine-tune, and the stages between them.  :func:`run_task` adapts a
-    deep copy of the model, dropout generators included, with an explicit
-    seed, under a throwaway metrics registry here: no seeded stream,
-    parameter or counter that real adaptations see moves.  The adapted model
-    is discarded; returns whether the pass ran without error.  Models whose
-    first layer gives no input shape to probe with are left cold.
+    the fine-tune, and the stages between them.  The scheme trains and
+    probes its own copy of the model, dropout generators included, with an
+    explicit seed, under a throwaway metrics registry here: no seeded
+    stream, parameter or counter that real adaptations see moves.  The
+    adapted model is discarded; returns whether the pass ran without error.
+    Models whose first layer gives no input shape to probe with are left
+    cold.
     """
     first = next(
         (m for m in source_model.modules() if isinstance(m, (Linear, Conv1d, Conv2d))), None

@@ -5,8 +5,8 @@ A bursty multi-user load hands the gateway many small
 the *same* model instance: every never-adapted (or evicted) target falls back
 to the shard's shared source model, and a hot target's own bursts all hit its
 cached adapted model.  Running those forwards one request at a time pays the
-Python/numpy per-layer dispatch cost once per request and serializes on the
-model's forward lock; this module coalesces them instead.
+Python/numpy per-layer dispatch cost once per request; this module coalesces
+them instead.
 
 Coalescing happens in two tiers:
 
@@ -70,7 +70,6 @@ class PredictPlan:
     batch_size: int
     fallback: bool  # source model substituted for a missing adapted model
     model: object = None  # resolved model instance the forward must run on
-    lock: object = None  # that model's forward lock
     output: np.ndarray | None = None
     coalesced: bool = False  # answered by a shared (deduped/tiled) forward
     error: BaseException | None = None  # forward failure, attributed per plan
@@ -88,13 +87,12 @@ def _payload_key(inputs: np.ndarray) -> tuple:
 
 
 def run_model_group(
-    model, lock, plans: list[PredictPlan]
+    model, plans: list[PredictPlan]
 ) -> tuple[list[tuple[str, int]], list[float]]:
     """Execute all plans that resolved to one model instance, coalescing them.
 
-    Fills each plan's ``output`` in place.  The model's forward lock is taken
-    once for the whole group (layers cache per-forward state, so a model
-    instance must never forward from two threads at once).
+    Fills each plan's ``output`` in place.  Evaluation forwards write no
+    layer state, so other threads may forward the same model meanwhile.
 
     Every gateway prediction, a lone ``submit_async`` included, runs through
     here, so per-request and micro-batched executions are one code path —
@@ -133,11 +131,10 @@ def run_model_group(
     if solo:
         tally.append(("batch.solo_forwards", len(solo)))
 
-    with lock:
-        for plan in solo:
-            plan.output = predict_batched(model, plan.inputs, plan.batch_size)
-        for feature_shape, members in tiled.items():
-            _run_tiled(model, feature_shape, members, tally, occupancies)
+    for plan in solo:
+        plan.output = predict_batched(model, plan.inputs, plan.batch_size)
+    for feature_shape, members in tiled.items():
+        _run_tiled(model, feature_shape, members, tally, occupancies)
 
     # Fan results out to the deduped duplicates.
     for group in unique.values():

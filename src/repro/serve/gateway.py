@@ -889,7 +889,7 @@ class Gateway:
         n_hits = n_misses = n_strict_misses = 0
         for index, request in group:
             try:
-                model, lock, fallback = service._predict_entry(
+                model, fallback = service._predict_entry(
                     request.target_id, request.strict, count_metrics=False
                 )
             except Exception as exc:
@@ -917,7 +917,6 @@ class Gateway:
                 batch_size=request.batch_size,
                 fallback=fallback,
                 model=model,
-                lock=lock,
             )
             plans.append(plan)
             by_index[index] = plan
@@ -934,11 +933,10 @@ class Gateway:
             service.metrics.counter_many(cache_tally)
 
         # Group by (model instance, batch_size): dedup and stacking must
-        # never mix chunkings, and a model instance must forward under its
-        # own lock exactly once per group.  Batching accounting accumulates
-        # in one shared tally across the burst's model groups and settles
-        # with the registry once, below; a group's counts join it only if
-        # the group answered.
+        # never mix chunkings.  Batching accounting accumulates in one
+        # shared tally across the burst's model groups and settles with the
+        # registry once, below; a group's counts join it only if the group
+        # answered.
         batch_tally: list[tuple[str, float]] = [("batch.plans", len(plans))] if plans else []
         occupancies: list[float] = []
         model_groups: dict[tuple[int, int], list[PredictPlan]] = {}
@@ -946,7 +944,7 @@ class Gateway:
             model_groups.setdefault((id(plan.model), plan.batch_size), []).append(plan)
 
         def run(grouped: list[PredictPlan]) -> None:
-            tally, tiles = run_model_group(grouped[0].model, grouped[0].lock, grouped)
+            tally, tiles = run_model_group(grouped[0].model, grouped)
             batch_tally.extend(tally)
             occupancies.extend(tiles)
 

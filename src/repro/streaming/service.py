@@ -31,6 +31,7 @@ the same stream reproduces the same events, models, and reports bit for bit.
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -498,21 +499,16 @@ class StreamingAdaptationService(AdaptationService):
         being served.  Returns ``None`` when no sample clears the confidence
         threshold — an all-uncertain batch carries no density information.
         """
-        # The target's own cached model carries its own forward lock, so
-        # drift probes for different targets overlap on a worker pool; only
-        # the shared source-model fallback serializes globally.
-        entry = self._model_and_lock(target_id)
-        if entry is None:
-            model, forward_lock = self._source_model, self._forward_lock
-        else:
-            model, forward_lock = entry
+        # The probe switches dropout into MC mode and keeps its masks, so it
+        # runs on a private copy: the served model keeps forwarding on other
+        # threads meanwhile.
+        model = self._cached_model(target_id)
         predictor = MCDropoutPredictor(
-            model,
+            copy.deepcopy(self._source_model if model is None else model),
             n_samples=self.drift_mc_samples,
             seed=stream_seed_sequence(self.target_seed(target_id), PROBE_STREAM, state.step),
         )
-        with forward_lock:
-            prediction = predictor.predict(batch)
+        prediction = predictor.predict(batch)
         confident = np.flatnonzero(prediction.uncertainty <= self.calibration.threshold)
         if len(confident) == 0:
             return None

@@ -1,8 +1,17 @@
 """Tests for the AdaptationStrategy layer, its registry, and the
 strategy-generic runtime services."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
+from scheme_oracle_fixture import (
+    CONV_SCHEME_KWARGS,
+    SCHEME_KWARGS,
+    build_conv_fixture,
+    build_fixture,
+)
 
 import repro.nn as nn
 from repro.core import Tasfar, TasfarConfig
@@ -10,6 +19,7 @@ from repro.engine import (
     AdaptationStrategy,
     BaselineStrategy,
     SourceResources,
+    StackJob,
     StrategyOutcome,
     TasfarStrategy,
     create_strategy,
@@ -355,3 +365,96 @@ class TestStrategyGenericStreaming:
             "cold_adaptations": 1,
             "warm_adaptations": 1,
         }
+
+
+def module_state(model):
+    """Every module's full state, comparable by value.
+
+    Arrays compare by bytes and generators by state, and nothing is left
+    out: a pickle comparison would miss dropout masks and backward state,
+    which ``Module.__getstate__`` drops.
+    """
+
+    def value(item):
+        if isinstance(item, nn.Module):
+            return type(item).__name__  # walked on its own by modules()
+        if isinstance(item, np.ndarray):
+            return (item.dtype.str, item.shape, item.tobytes())
+        if isinstance(item, np.random.Generator):
+            return item.bit_generator.state
+        if isinstance(item, (list, tuple)):
+            return [value(element) for element in item]
+        if isinstance(item, dict):
+            return {key: value(element) for key, element in item.items()}
+        if hasattr(item, "__dict__"):
+            return (type(item).__name__, value(vars(item)))
+        return item
+
+    return [(type(module).__name__, value(vars(module))) for module in model.modules()]
+
+
+@pytest.fixture(scope="module", params=["mlp", "tcn"])
+def leg(request):
+    if request.param == "mlp":
+        fixture, kwargs = build_fixture(), SCHEME_KWARGS
+        # Equal lengths: the two stacked jobs share one K=2 stack.
+        lengths = (30, 30)
+    else:
+        fixture, kwargs = build_conv_fixture("tcn"), CONV_SCHEME_KWARGS
+        # Conv trees stack one replica at a time, so the jobs differ in length.
+        lengths = (40, 24)
+    fixture["kwargs"] = kwargs
+    fixture["lengths"] = lengths
+    return fixture
+
+
+class TestStartModelUntouched:
+    """No scheme changes its start model: it may be serving on other threads."""
+
+    @staticmethod
+    def prepared(scheme, leg):
+        resources = SourceResources(
+            source_data=leg["source_data"], calibration=leg["calibration"]
+        )
+        if scheme == "tasfar":
+            strategy = TasfarStrategy(config=leg["config"])
+        else:
+            strategy = create_strategy(scheme, **leg["kwargs"][scheme])
+        return strategy.prepare(leg["model"], resources)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_adapt_and_adapt_stacked_leave_start_model_untouched(self, scheme, leg, mode):
+        strategy = self.prepared(scheme, leg)
+        start = getattr(copy.deepcopy(leg["model"]), mode)()
+        before = module_state(start)
+        inputs = leg["target_inputs"]
+        cold = strategy.adapt(start, inputs, seed=3)
+        assert module_state(start) == before
+
+        base = cold.target_model
+        base_before = module_state(base)
+        strategy.adapt(start, inputs, seed=4, base_model=base, warm_epochs=1)
+        assert module_state(base) == base_before
+
+        jobs = [
+            StackJob(model=start, inputs=inputs[:length], seed=5 + index)
+            for index, length in enumerate(leg["lengths"])
+        ]
+        for outcome, error in strategy.adapt_stacked(jobs):
+            assert error is None
+            assert outcome.target_model is not start
+        assert module_state(start) == before
+
+    def test_tasfar_job_with_nothing_to_fit_returns_a_model_without_masks(self, leg):
+        config = dataclasses.replace(leg["config"], include_confident_data=False)
+        # Every sample clears an infinite threshold: nothing is uncertain,
+        # so the weighted dataset is empty and no fine-tune runs.
+        calibration = dataclasses.replace(leg["calibration"], threshold=np.inf)
+        result = Tasfar(config).adapt(leg["model"], leg["target_inputs"], calibration, seed=1)
+        assert result.losses == []
+        masks = [
+            module for module in result.target_model.modules()
+            if isinstance(module, nn.Dropout) and module._mask is not None
+        ]
+        assert masks == []

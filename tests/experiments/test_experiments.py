@@ -12,6 +12,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.base import ExperimentResult
+from repro.nn import Dropout
 
 EXPECTED_IDS = {
     "fig2_label_distributions",
@@ -65,6 +66,17 @@ class TestBundles:
         assert bundle.training_history.losses[-1] < bundle.training_history.losses[0]
         predictions = bundle.predict(bundle.task.scenarios[0].adaptation.inputs[:5])
         assert predictions.shape == (5, 1)
+
+    @pytest.mark.parametrize("task", ["housing", "taxi", "pdr", "crowd"])
+    def test_calibration_leaves_no_mc_masks_on_the_source_model(self, task):
+        # The calibration's MC-dropout probe runs on a private copy; masks
+        # left on the source model would live as long as the bundle.
+        bundle = get_bundle(task, "tiny", seed=11)
+        held = [
+            module for module in bundle.source_model.modules()
+            if isinstance(module, Dropout) and module._mask is not None
+        ]
+        assert held == []
 
 
 class TestExperimentResults:
