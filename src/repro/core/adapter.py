@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..engine import LossDropEarlyStopper
 from ..engine.rng import ADAPTATION_STREAM, CALIBRATION_STREAM, stream_seed_sequence
 from ..engine.stacked import StackedFineTuneEngine
 from ..nn.data import ArrayDataset
@@ -31,7 +32,6 @@ from ..uncertainty.mc_dropout import MCDropoutPredictor, UncertainPrediction
 from .confidence import ConfidenceClassifier, ConfidenceSplit
 from .config import TasfarConfig
 from .density_map import LabelDensityMap
-from .early_stopping import LossDropEarlyStopper
 from .estimator import LabelDistributionEstimator
 from .pseudo_label import PseudoLabelBatch, PseudoLabelGenerator
 

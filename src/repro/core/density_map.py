@@ -168,9 +168,8 @@ class LabelDensityMap:
             return
         axis_masses = []
         for axis in range(self.n_dims):
-            edge = self.edges[axis]
             mass = error_model.batch_interval_probability(
-                centers[:, axis], sigmas[:, axis], edge[:-1], edge[1:]
+                centers[:, axis], sigmas[:, axis], self.edges[axis]
             )
             axis_masses.append(np.clip(mass, 0.0, None))
         self.densities += row_outer_product(axis_masses).sum(axis=0)

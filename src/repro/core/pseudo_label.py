@@ -217,12 +217,12 @@ class PseudoLabelGenerator:
             [
                 np.clip(
                     self.error_model.batch_interval_probability(
-                        predictions[:, axis], sigmas[:, axis], edge[:-1], edge[1:]
+                        predictions[:, axis], sigmas[:, axis], edges
                     ),
                     0.0,
                     None,
                 )
-                for axis, edge in enumerate(density_map.edges)
+                for axis, edges in enumerate(density_map.edges)
             ]
         )
         boxes = row_outer_product(axis_masks)

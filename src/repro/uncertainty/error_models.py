@@ -9,13 +9,15 @@ Gaussian, Laplace and Uniform.
 
 Each error model exposes ``interval_probability`` which integrates the density
 over a grid interval — the quantity accumulated into the label density map
-(Eq. 10) — vectorized over grid edges.
+(Eq. 10) — and ``batch_interval_probability``, the same masses for a batch of
+instances over a whole grid axis, from one CDF evaluation per grid edge.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
+
+from .special import erf
 
 __all__ = ["ErrorModel", "GaussianErrorModel", "LaplaceErrorModel", "UniformErrorModel", "get_error_model"]
 
@@ -36,59 +38,64 @@ class ErrorModel:
         raise NotImplementedError
 
     def batch_interval_probability(
-        self, centers: np.ndarray, sigmas: np.ndarray, lower: np.ndarray, upper: np.ndarray
+        self, centers: np.ndarray, sigmas: np.ndarray, edges: np.ndarray
     ) -> np.ndarray:
-        """Interval masses for a whole batch of instances at once.
+        """Masses of a whole batch of instances over the cells between ``edges``.
 
         Parameters
         ----------
         centers, sigmas:
             Per-instance location and scale, shape ``(n_instances,)``.
-        lower, upper:
-            Interval bounds shared by all instances, shape ``(n_intervals,)``.
+        edges:
+            Ascending cell edges shared by all instances, shape
+            ``(n_cells + 1,)``.
 
         Returns
         -------
         np.ndarray
-            Mass matrix of shape ``(n_instances, n_intervals)``.  The built-in
-            families override this with a broadcasted closed form; this
-            generic fallback loops over instances so any custom scalar-only
-            subclass keeps working with the vectorized density-map path.
+            Mass matrix of shape ``(n_instances, n_cells)``.  The built-in
+            families evaluate their CDF once per edge and difference adjacent
+            edges; this generic fallback loops over instances so any custom
+            scalar-only subclass keeps working with the vectorized
+            density-map path.
         """
         centers = np.asarray(centers, dtype=np.float64).ravel()
         sigmas = np.asarray(sigmas, dtype=np.float64).ravel()
+        edges = np.asarray(edges, dtype=np.float64)
         return np.stack(
             [
-                self.interval_probability(float(center), float(sigma), lower, upper)
+                self.interval_probability(float(center), float(sigma), edges[:-1], edges[1:])
                 for center, sigma in zip(centers, sigmas)
             ],
             axis=0,
         )
 
 
-class GaussianErrorModel(ErrorModel):
+class _ClosedFormErrorModel(ErrorModel):
+    """A family whose ``cdf`` broadcasts over array-valued centers and scales."""
+
+    def interval_probability(self, center, sigma, lower, upper):
+        return self.cdf(upper, center, sigma) - self.cdf(lower, center, sigma)
+
+    def batch_interval_probability(self, centers, sigmas, edges):
+        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 1)
+        sigmas = np.asarray(sigmas, dtype=np.float64).reshape(-1, 1)
+        cdf = self.cdf(edges, centers, sigmas)
+        return cdf[:, 1:] - cdf[:, :-1]
+
+
+class GaussianErrorModel(_ClosedFormErrorModel):
     """Gaussian instance-label distribution (paper default, Eq. 5/11)."""
 
     name = "gaussian"
 
     def cdf(self, value, center, sigma):
         value = np.asarray(value, dtype=np.float64)
-        z = (value - center) / (np.sqrt(2.0) * max(sigma, 1e-12))
-        return 0.5 * (1.0 + special.erf(z))
-
-    def interval_probability(self, center, sigma, lower, upper):
-        return self.cdf(upper, center, sigma) - self.cdf(lower, center, sigma)
-
-    def batch_interval_probability(self, centers, sigmas, lower, upper):
-        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 1)
-        sigmas = np.maximum(np.asarray(sigmas, dtype=np.float64).reshape(-1, 1), 1e-12)
-        denom = np.sqrt(2.0) * sigmas
-        upper_cdf = 0.5 * (1.0 + special.erf((np.asarray(upper, dtype=np.float64) - centers) / denom))
-        lower_cdf = 0.5 * (1.0 + special.erf((np.asarray(lower, dtype=np.float64) - centers) / denom))
-        return upper_cdf - lower_cdf
+        z = (value - center) / (np.sqrt(2.0) * np.maximum(sigma, 1e-12))
+        return 0.5 * (1.0 + erf(z))
 
 
-class LaplaceErrorModel(ErrorModel):
+class LaplaceErrorModel(_ClosedFormErrorModel):
     """Laplace instance-label distribution with matching standard deviation."""
 
     name = "laplace"
@@ -96,25 +103,12 @@ class LaplaceErrorModel(ErrorModel):
     def cdf(self, value, center, sigma):
         value = np.asarray(value, dtype=np.float64)
         # A Laplace(b) has std sqrt(2) * b; match the requested sigma.
-        scale = max(sigma, 1e-12) / np.sqrt(2.0)
+        scale = np.maximum(sigma, 1e-12) / np.sqrt(2.0)
         z = np.clip((value - center) / scale, -700.0, 700.0)
         return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
 
-    def interval_probability(self, center, sigma, lower, upper):
-        return self.cdf(upper, center, sigma) - self.cdf(lower, center, sigma)
 
-    def batch_interval_probability(self, centers, sigmas, lower, upper):
-        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 1)
-        scale = np.maximum(np.asarray(sigmas, dtype=np.float64).reshape(-1, 1), 1e-12) / np.sqrt(2.0)
-
-        def batch_cdf(value: np.ndarray) -> np.ndarray:
-            z = np.clip((np.asarray(value, dtype=np.float64) - centers) / scale, -700.0, 700.0)
-            return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
-
-        return batch_cdf(upper) - batch_cdf(lower)
-
-
-class UniformErrorModel(ErrorModel):
+class UniformErrorModel(_ClosedFormErrorModel):
     """Uniform instance-label distribution with matching standard deviation."""
 
     name = "uniform"
@@ -122,22 +116,9 @@ class UniformErrorModel(ErrorModel):
     def cdf(self, value, center, sigma):
         value = np.asarray(value, dtype=np.float64)
         # A Uniform(-h, h) has std h / sqrt(3); match the requested sigma.
-        half_width = max(sigma, 1e-12) * np.sqrt(3.0)
+        half_width = np.maximum(sigma, 1e-12) * np.sqrt(3.0)
         z = (value - (center - half_width)) / (2.0 * half_width)
         return np.clip(z, 0.0, 1.0)
-
-    def interval_probability(self, center, sigma, lower, upper):
-        return self.cdf(upper, center, sigma) - self.cdf(lower, center, sigma)
-
-    def batch_interval_probability(self, centers, sigmas, lower, upper):
-        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 1)
-        half_width = np.maximum(np.asarray(sigmas, dtype=np.float64).reshape(-1, 1), 1e-12) * np.sqrt(3.0)
-
-        def batch_cdf(value: np.ndarray) -> np.ndarray:
-            z = (np.asarray(value, dtype=np.float64) - (centers - half_width)) / (2.0 * half_width)
-            return np.clip(z, 0.0, 1.0)
-
-        return batch_cdf(upper) - batch_cdf(lower)
 
 
 _ERROR_MODELS = {

@@ -123,7 +123,7 @@ class TestBatchIntervalProbability:
         edges = np.linspace(-3.0, 3.0, 15)
         centers = np.array([-1.2, 0.0, 0.7, 2.5])
         sigmas = np.array([0.2, 0.5, 1.0, 0.05])
-        batch = error_model.batch_interval_probability(centers, sigmas, edges[:-1], edges[1:])
+        batch = error_model.batch_interval_probability(centers, sigmas, edges)
         assert batch.shape == (4, 14)
         for row, (center, sigma) in enumerate(zip(centers, sigmas)):
             scalar = error_model.interval_probability(
@@ -136,6 +136,6 @@ class TestBatchIntervalProbability:
         centers = np.array([0.0, 1.0, -2.0])
         sigmas = np.array([0.3, 0.8, 0.1])
         for error_model in (GaussianErrorModel(), LaplaceErrorModel(), UniformErrorModel()):
-            batch = error_model.batch_interval_probability(centers, sigmas, edges[:-1], edges[1:])
+            batch = error_model.batch_interval_probability(centers, sigmas, edges)
             assert np.all(batch >= -1e-12)
             np.testing.assert_allclose(batch.sum(axis=1), 1.0, atol=1e-6)
