@@ -13,8 +13,8 @@ operation for operation instead of approximating it:
 * the sign is restored with ``copysign`` (so ``erf(-0.0)`` is ``-0.0``) and
   NaN passes through.
 
-The ``exp`` must be the C library's: numpy's float64 ``exp`` has its own
-SIMD kernel, which is 1 ulp off libm on a few percent of inputs.  numpy's
+The ``exp`` must be the C library's: on AVX-512 hosts numpy's float64 ``exp``
+runs its own SIMD kernel, which is 1 ulp off libm on a few percent of inputs.  numpy's
 complex ``exp`` of ``v + 0j`` returns libm's ``exp(v)`` as its real part, at a
 fraction of the cost of a per-element ``math.exp``.
 ``tests/uncertainty/test_error_models.py`` pins the result bit for bit.
