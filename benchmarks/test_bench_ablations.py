@@ -21,8 +21,10 @@ def _adapt_and_score(bundle, config):
     strategy = TasfarStrategy(config, calibration=bundle.calibration)
     scenario = bundle.task.scenarios[0]
     result = strategy.adapt(bundle.source_model, scenario.adaptation.inputs)
-    trainer = nn.Trainer(result.target_model)
-    return mse(trainer.predict(scenario.adaptation.inputs), scenario.adaptation.targets)
+    return mse(
+        nn.predict_batched(result.target_model, scenario.adaptation.inputs),
+        scenario.adaptation.targets,
+    )
 
 
 @pytest.mark.benchmark(group="ablation")

@@ -21,6 +21,7 @@ import numpy as np
 
 import repro.nn as nn
 from repro.core import Tasfar, TasfarConfig
+from repro.engine import train_supervised
 from repro.serve import AdaptRequest, Gateway, PredictRequest
 
 
@@ -41,8 +42,8 @@ def make_gateway_fixture(n_adapted=4, n_fallback=4):
     inputs = rng.normal(size=(160, 4))
     targets = inputs @ weights + 0.1 * rng.normal(size=160)
     model = nn.build_mlp(4, 1, hidden_dims=(16, 8), dropout=0.2, seed=0)
-    nn.Trainer(model, lr=3e-3).fit(
-        nn.ArrayDataset(inputs, targets), epochs=10, batch_size=32, rng=rng
+    train_supervised(
+        model, nn.ArrayDataset(inputs, targets), epochs=10, batch_size=32, lr=3e-3, rng=rng
     )
     config = TasfarConfig(
         n_mc_samples=8,

@@ -21,6 +21,7 @@ import numpy as np
 
 import repro.nn as nn
 from repro.core import Tasfar, TasfarConfig
+from repro.engine import train_supervised
 from repro.obs import scrub_wall_clock
 from repro.runtime import AdaptationService, SnapshotStore
 
@@ -37,8 +38,9 @@ def make_source():
     inputs = rng.normal(size=(N_SOURCE, FEATURES))
     targets = inputs @ weights + 0.1 * rng.normal(size=N_SOURCE)
     model = nn.build_mlp(FEATURES, 1, hidden_dims=(16, 8), dropout=0.2, seed=0)
-    trainer = nn.Trainer(model, lr=3e-3)
-    trainer.fit(nn.ArrayDataset(inputs, targets), epochs=15, batch_size=32, rng=rng)
+    train_supervised(
+        model, nn.ArrayDataset(inputs, targets), epochs=15, batch_size=32, lr=3e-3, rng=rng
+    )
     config = TasfarConfig(
         n_mc_samples=8,
         n_segments=5,

@@ -22,6 +22,7 @@ import numpy as np
 import repro.nn as nn
 from repro.core import Tasfar, TasfarConfig
 from repro.data import TargetScenario, make_drift_stream
+from repro.engine import train_supervised
 from repro.metrics import mae
 from repro.streaming import StreamingAdaptationService
 
@@ -33,8 +34,8 @@ def make_streaming_fixture():
     inputs = rng.normal(size=(240, 4))
     targets = inputs @ weights + 0.1 * rng.normal(size=240)
     model = nn.build_mlp(4, 1, hidden_dims=(16, 8), dropout=0.2, seed=0)
-    nn.Trainer(model, lr=3e-3).fit(
-        nn.ArrayDataset(inputs, targets), epochs=15, batch_size=32, rng=rng
+    train_supervised(
+        model, nn.ArrayDataset(inputs, targets), epochs=15, batch_size=32, lr=3e-3, rng=rng
     )
     config = TasfarConfig(
         n_mc_samples=8,

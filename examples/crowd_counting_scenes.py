@@ -18,6 +18,7 @@ import numpy as np
 from repro import nn
 from repro.core import Tasfar, TasfarConfig
 from repro.data import make_crowd_task, merge_scenarios
+from repro.engine import train_supervised
 from repro.metrics import mae, mse
 
 
@@ -29,8 +30,7 @@ def main() -> None:
 
     print("training the MCNN-style source counter ...")
     model = nn.build_mcnn_counter(image_size=12, column_channels=(3, 4, 5), dropout=0.2, seed=0)
-    trainer = nn.Trainer(model, lr=2e-3)
-    trainer.fit(task.source_train, epochs=40, batch_size=16, rng=rng)
+    train_supervised(model, task.source_train, epochs=40, batch_size=16, lr=2e-3, rng=rng)
 
     tasfar = Tasfar(TasfarConfig(seed=0))
     calibration = tasfar.calibrate_on_source(
@@ -43,26 +43,25 @@ def main() -> None:
     for scenario in task.scenarios:
         result = tasfar.adapt(model, scenario.adaptation.inputs, calibration)
         per_scene_models[scenario.name] = result.target_model
-        adapted = nn.Trainer(result.target_model)
+        before = nn.predict_batched(model, scenario.test.inputs)
+        after = nn.predict_batched(result.target_model, scenario.test.inputs)
+        targets = scenario.test.targets
         print(
             f"{scenario.name:<10}{scenario.metadata['count_mean']:>11.0f}"
-            f"{mae(trainer.predict(scenario.test.inputs), scenario.test.targets):>12.2f}"
-            f"{mae(adapted.predict(scenario.test.inputs), scenario.test.targets):>12.2f}"
-            f"{mse(trainer.predict(scenario.test.inputs), scenario.test.targets):>12.1f}"
-            f"{mse(adapted.predict(scenario.test.inputs), scenario.test.targets):>12.1f}"
+            f"{mae(before, targets):>12.2f}{mae(after, targets):>12.2f}"
+            f"{mse(before, targets):>12.1f}{mse(after, targets):>12.1f}"
         )
 
     # Pooled adaptation (no partitioning): one adaptation over all scenes.
     pooled = merge_scenarios(task.scenarios, name="pooled")
     pooled_result = tasfar.adapt(model, pooled.adaptation.inputs, calibration)
-    pooled_trainer = nn.Trainer(pooled_result.target_model)
     print("\npartitioned vs. pooled adaptation (test MAE per scene):")
     for scenario in task.scenarios:
-        partitioned = nn.Trainer(per_scene_models[scenario.name])
+        partitioned = nn.predict_batched(per_scene_models[scenario.name], scenario.test.inputs)
+        pooled_prediction = nn.predict_batched(pooled_result.target_model, scenario.test.inputs)
         print(
-            f"  {scenario.name}: partitioned "
-            f"{mae(partitioned.predict(scenario.test.inputs), scenario.test.targets):.2f}  "
-            f"pooled {mae(pooled_trainer.predict(scenario.test.inputs), scenario.test.targets):.2f}"
+            f"  {scenario.name}: partitioned {mae(partitioned, scenario.test.targets):.2f}  "
+            f"pooled {mae(pooled_prediction, scenario.test.targets):.2f}"
         )
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from repro import nn
 from repro.core import Tasfar, TasfarConfig
 from repro.data import make_pdr_task
+from repro.engine import train_supervised
 from repro.metrics import step_error
 from repro.runtime import AdaptationService
 
@@ -46,8 +47,7 @@ def main() -> None:
         in_channels=task.metadata["n_channels"], window_length=20,
         output_dim=2, channel_sizes=(16, 16), dropout=0.2, seed=0,
     )
-    trainer = nn.Trainer(model, lr=2e-3)
-    trainer.fit(task.source_train, epochs=60, batch_size=32, rng=rng)
+    train_supervised(model, task.source_train, epochs=60, batch_size=32, lr=2e-3, rng=rng)
 
     # Source-side calibration happens once, before "deployment".
     config = TasfarConfig(seed=0)
@@ -69,7 +69,9 @@ def main() -> None:
     print(f"\n{'user':<16}{'group':<8}{'conf/unc':>10}{'STE before':>12}{'STE after':>12}{'secs':>7}")
     for scenario in task.scenarios:
         report = reports[scenario.name]
-        before = step_error(trainer.predict(scenario.adaptation.inputs), scenario.adaptation.targets)
+        before = step_error(
+            nn.predict_batched(model, scenario.adaptation.inputs), scenario.adaptation.targets
+        )
         after = step_error(
             service.predict(scenario.name, scenario.adaptation.inputs),
             scenario.adaptation.targets,

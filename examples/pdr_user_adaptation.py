@@ -18,6 +18,7 @@ import numpy as np
 from repro import nn
 from repro.core import Tasfar, TasfarConfig
 from repro.data import make_pdr_task
+from repro.engine import train_supervised
 from repro.metrics import per_trajectory_rte, step_error
 
 
@@ -42,8 +43,7 @@ def main() -> None:
         in_channels=task.metadata["n_channels"], window_length=20,
         output_dim=2, channel_sizes=(16, 16), dropout=0.2, seed=0,
     )
-    trainer = nn.Trainer(model, lr=2e-3)
-    trainer.fit(task.source_train, epochs=60, batch_size=32, rng=rng)
+    train_supervised(model, task.source_train, epochs=60, batch_size=32, lr=2e-3, rng=rng)
 
     tasfar = Tasfar(TasfarConfig(seed=0))
     calibration = tasfar.calibrate_on_source(
@@ -56,17 +56,18 @@ def main() -> None:
     print(f"{'user':<16}{'group':<8}{'STE before':>12}{'STE after':>12}{'reduction':>11}{'mean RTE drop':>15}")
     for scenario in task.scenarios:
         result = tasfar.adapt(model, scenario.adaptation.inputs, calibration)
-        adapted = nn.Trainer(result.target_model)
+        adapted = result.target_model
 
-        before = step_error(trainer.predict(scenario.adaptation.inputs), scenario.adaptation.targets)
-        after = step_error(adapted.predict(scenario.adaptation.inputs), scenario.adaptation.targets)
+        targets = scenario.adaptation.targets
+        before = step_error(nn.predict_batched(model, scenario.adaptation.inputs), targets)
+        after = step_error(nn.predict_batched(adapted, scenario.adaptation.inputs), targets)
 
         trajectory_ids = scenario.metadata["test_trajectory_ids"]
         rte_before = per_trajectory_rte(
-            trainer.predict(scenario.test.inputs), scenario.test.targets, trajectory_ids
+            nn.predict_batched(model, scenario.test.inputs), scenario.test.targets, trajectory_ids
         )
         rte_after = per_trajectory_rte(
-            adapted.predict(scenario.test.inputs), scenario.test.targets, trajectory_ids
+            nn.predict_batched(adapted, scenario.test.inputs), scenario.test.targets, trajectory_ids
         )
         rte_drop = np.mean([rte_before[t] - rte_after[t] for t in rte_before])
 

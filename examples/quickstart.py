@@ -19,6 +19,7 @@ import numpy as np
 
 from repro import nn
 from repro.core import Tasfar, TasfarConfig
+from repro.engine import train_supervised
 from repro.metrics import mae, mse
 
 
@@ -53,9 +54,9 @@ def main() -> None:
 
     # 1. Train the source model (a small MLP with dropout).
     model = nn.build_mlp(input_dim=4, output_dim=1, hidden_dims=(32, 16), dropout=0.2, seed=0)
-    trainer = nn.Trainer(model, lr=3e-3)
-    history = trainer.fit(
-        nn.ArrayDataset(source_inputs, source_labels), epochs=40, batch_size=32, rng=rng
+    history = train_supervised(
+        model, nn.ArrayDataset(source_inputs, source_labels),
+        epochs=40, batch_size=32, lr=3e-3, rng=rng,
     )
     print(f"source training loss: {history.losses[0]:.3f} -> {history.losses[-1]:.3f}")
 
@@ -73,12 +74,12 @@ def main() -> None:
     print(f"adaptation stopped after {len(result.losses)} epochs")
 
     # 4. Evaluate (labels are used here only to report the improvement).
-    adapted = nn.Trainer(result.target_model)
+    adapted = result.target_model
     labels_2d = target_labels[:, None]
-    before_mse = mse(trainer.predict(target_inputs), labels_2d)
-    after_mse = mse(adapted.predict(target_inputs), labels_2d)
-    before_mae = mae(trainer.predict(target_inputs), labels_2d)
-    after_mae = mae(adapted.predict(target_inputs), labels_2d)
+    before_mse = mse(nn.predict_batched(model, target_inputs), labels_2d)
+    after_mse = mse(nn.predict_batched(adapted, target_inputs), labels_2d)
+    before_mae = mae(nn.predict_batched(model, target_inputs), labels_2d)
+    after_mae = mae(nn.predict_batched(adapted, target_inputs), labels_2d)
     print(f"target MSE: {before_mse:.3f} -> {after_mse:.3f} "
           f"({100 * (before_mse - after_mse) / before_mse:+.1f}% reduction)")
     print(f"target MAE: {before_mae:.3f} -> {after_mae:.3f} "

@@ -32,6 +32,7 @@ import numpy as np
 from repro import nn
 from repro.core import Tasfar, TasfarConfig
 from repro.data import make_drift_stream, make_pdr_task
+from repro.engine import train_supervised
 from repro.metrics import step_error
 from repro.streaming import StreamingAdaptationService
 
@@ -54,8 +55,7 @@ def main() -> None:
         in_channels=task.metadata["n_channels"], window_length=20,
         output_dim=2, channel_sizes=(16, 16), dropout=0.2, seed=0,
     )
-    trainer = nn.Trainer(model, lr=2e-3)
-    trainer.fit(task.source_train, epochs=60, batch_size=32, rng=rng)
+    train_supervised(model, task.source_train, epochs=60, batch_size=32, lr=2e-3, rng=rng)
 
     config = TasfarConfig(seed=0)
     calibration = Tasfar(config).calibrate_on_source(
@@ -111,7 +111,7 @@ def main() -> None:
     )
     for scenario in task.scenarios:
         stats = service.stream_stats(scenario.name)
-        before = step_error(trainer.predict(scenario.test.inputs), scenario.test.targets)
+        before = step_error(nn.predict_batched(model, scenario.test.inputs), scenario.test.targets)
         after = step_error(
             service.predict(scenario.name, scenario.test.inputs), scenario.test.targets
         )

@@ -18,7 +18,7 @@ import numpy as np
 from repro import nn
 from repro.core import TasfarConfig
 from repro.data import make_housing_task, make_taxi_task
-from repro.engine import SourceResources, create_strategy
+from repro.engine import SourceResources, create_strategy, train_supervised
 from repro.metrics import mse, rmsle
 
 
@@ -28,11 +28,10 @@ def run_task(task, metric, metric_name, schemes=("baseline", "augfree", "datafre
         input_dim=task.source_train.inputs.shape[1], output_dim=1,
         hidden_dims=(32, 16), dropout=0.2, seed=0,
     )
-    trainer = nn.Trainer(model, lr=3e-3)
-    trainer.fit(task.source_train, epochs=50, batch_size=32, rng=rng)
+    train_supervised(model, task.source_train, epochs=50, batch_size=32, lr=3e-3, rng=rng)
 
     scenario = task.scenarios[0]
-    baseline_error = metric(trainer.predict(scenario.test.inputs), scenario.test.targets)
+    baseline_error = metric(nn.predict_batched(model, scenario.test.inputs), scenario.test.targets)
     print(f"\n=== {task.name}: source model {metric_name} on target test set = {baseline_error:.3f}")
 
     # Source-side preparation: TASFAR calibrates and Datafree fits its
@@ -41,8 +40,8 @@ def run_task(task, metric, metric_name, schemes=("baseline", "augfree", "datafre
     for scheme in schemes:
         strategy = create_strategy(scheme, config=TasfarConfig(seed=0)).prepare(model, resources)
         result = strategy.adapt(model, scenario.adaptation.inputs)
-        adapted = nn.Trainer(result.target_model)
-        error = metric(adapted.predict(scenario.test.inputs), scenario.test.targets)
+        adapted = result.target_model
+        error = metric(nn.predict_batched(adapted, scenario.test.inputs), scenario.test.targets)
         reduction = 100 * (baseline_error - error) / baseline_error if baseline_error else 0.0
         print(f"  {scheme:<10} {metric_name} = {error:.3f}  ({reduction:+.1f}% vs source model)")
 

@@ -1,4 +1,4 @@
-"""Strategy engine: the one fine-tune loop and the scheme registry.
+"""Strategy engine: the one training loop and the scheme registry.
 
 Layering: ``stacked``/``rng`` sit *below* ``core`` and ``baselines`` (they
 implement the training loop those layers call into); ``strategy`` sits
@@ -12,7 +12,12 @@ in :class:`StackedFineTuneEngine`) does not drag the strategy layer, and the
 """
 
 from .early_stopping import LossDropEarlyStopper
-from .stacked import FineTuneResult, StackedBatchStep, StackedFineTuneEngine
+from .stacked import (
+    FineTuneResult,
+    StackedBatchStep,
+    StackedFineTuneEngine,
+    train_supervised,
+)
 from .rng import (
     ADAPTATION_STREAM,
     CALIBRATION_STREAM,
@@ -40,6 +45,7 @@ __all__ = [
     "strategy_names",
     "stream_generator",
     "stream_seed_sequence",
+    "train_supervised",
 ]
 
 #: Names resolved lazily from the strategy layer (PEP 562) to keep the

@@ -1,6 +1,7 @@
-"""The one fine-tune loop: K >= 1 adaptations through one stacked epoch loop.
+"""The one training loop: K >= 1 models through one stacked epoch loop.
 
-Every scheme trains through :class:`StackedFineTuneEngine`.  The model is a
+Every scheme trains through :class:`StackedFineTuneEngine`, and so does
+source-model training (:func:`train_supervised`).  The model is a
 :func:`~repro.nn.stacked.stack_modules` tree whose tensors carry a leading
 replica axis; a single target is the K=1 case, where the tree is a
 one-replica view of the original model (any layer, convolutions included).
@@ -41,13 +42,26 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..nn.data import ArrayDataset
+from ..nn.losses import MSELoss
+from ..nn.module import Module
 from ..nn.parameter import Parameter
-from ..nn.stacked import stacked_clip_gradients
+from ..nn.stacked import (
+    PerReplicaLoss,
+    StackedAdam,
+    stack_modules,
+    stacked_clip_gradients,
+    unstack_modules,
+)
 from ..obs import active_metrics, now
 from ..obs.metrics import RATIO_BUCKETS
 from .early_stopping import LossDropEarlyStopper
 
-__all__ = ["FineTuneResult", "StackedBatchStep", "StackedFineTuneEngine"]
+__all__ = [
+    "FineTuneResult",
+    "StackedBatchStep",
+    "StackedFineTuneEngine",
+    "train_supervised",
+]
 
 #: A scheme's batch step: forward + per-replica loss + backward on one
 #: ``(K, batch, ...)`` batch; returns the ``(K,)`` per-replica loss values.
@@ -328,3 +342,43 @@ class StackedFineTuneEngine:
             for layer, rate in saved_rates:
                 layer.rate = rate
         return results
+
+
+def train_supervised(
+    model: Module,
+    dataset: ArrayDataset,
+    *,
+    epochs: int,
+    batch_size: int = 32,
+    lr: float = 1e-3,
+    rng: np.random.Generator | None = None,
+) -> FineTuneResult:
+    """Train ``model`` in place on labelled data: how source models train.
+
+    The model is a one-replica stack on :class:`StackedFineTuneEngine` with
+    dropout left on, Adam at ``lr``, gradient clipping at 5.0 and MSE loss
+    (weighted when ``dataset`` carries weights).  ``rng`` drives the
+    per-epoch shuffles; without one, ``default_rng(0)`` does, as for
+    :class:`~repro.nn.DataLoader`.  The model is left in eval mode; the
+    result holds its per-epoch training losses.
+    """
+    stacked = stack_modules([model])
+    loss = PerReplicaLoss(MSELoss())
+
+    def step(inputs: np.ndarray, targets: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+        values, grads = loss(stacked.forward(inputs), targets, weights)
+        stacked.backward(grads)
+        return values
+
+    engine = StackedFineTuneEngine(epochs, batch_size, grad_clip=5.0, disable_dropout=False)
+    [result] = engine.run(
+        stacked,
+        [dataset],
+        StackedAdam(stacked.parameters(), 1, lr=lr),
+        step,
+        rngs=[rng if rng is not None else np.random.default_rng(0)],
+    )
+    unstack_modules(stacked, [model])
+    # The stack's eval() reached the model's layers, not the model itself.
+    model.eval()
+    return result

@@ -25,6 +25,7 @@ import numpy as np
 from .. import nn
 from ..core import SourceCalibration, Tasfar, TasfarConfig
 from ..data import AdaptationTask
+from ..engine import train_supervised
 from ..data.tasks import (
     SCALES,
     ScaleProfile,
@@ -75,16 +76,16 @@ class TaskBundle:
 
     task: AdaptationTask
     source_model: nn.RegressionModel
-    trainer: nn.Trainer
     calibration: SourceCalibration
     scale: ScaleProfile
     seed: int
-    training_history: nn.TrainingHistory
+    #: Per-epoch training losses of the source model.
+    source_losses: list[float]
     spec: TaskSpec | None = None
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Deterministic source-model predictions."""
-        return self.trainer.predict(inputs)
+        return nn.predict_batched(self.source_model, inputs)
 
     def tasfar(self, config: TasfarConfig | None = None) -> Tasfar:
         """A TASFAR instance with a default or custom configuration."""
@@ -183,15 +184,16 @@ def _build_bundle(spec: TaskSpec, profile: ScaleProfile, seed: int) -> TaskBundl
     """Generate the task, train the source model, calibrate TASFAR."""
     task = spec.build_task(profile, seed)
     model = spec.build_model(task, profile, seed)
-    trainer = nn.Trainer(model, lr=spec.lr)
-    history = trainer.fit(
+    trained = train_supervised(
+        model,
         task.source_train,
         epochs=spec.epochs(profile),
         batch_size=spec.batch_size,
+        lr=spec.lr,
         rng=np.random.default_rng(seed),
     )
     return TaskBundle(
-        task, model, trainer, _calibrate(model, task), profile, seed, history, spec=spec
+        task, model, _calibrate(model, task), profile, seed, trained.losses, spec=spec
     )
 
 

@@ -136,9 +136,8 @@ def _evaluate_splits(
     metric_fns: dict,
 ) -> tuple[dict[str, dict[str, float]], dict[str, dict[int, float]]]:
     """Evaluate one adapted model on the scenario's splits."""
-    trainer = nn.Trainer(model)
-    adapt_pred = trainer.predict(scenario.adaptation.inputs)
-    test_pred = trainer.predict(scenario.test.inputs)
+    adapt_pred = nn.predict_batched(model, scenario.adaptation.inputs)
+    test_pred = nn.predict_batched(model, scenario.test.inputs)
 
     metrics: dict[str, dict[str, float]] = {
         "adaptation": {name: fn(adapt_pred, scenario.adaptation.targets) for name, fn in metric_fns.items()},

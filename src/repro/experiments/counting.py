@@ -104,14 +104,13 @@ def fig20_partitioning(scale: str = "small", seed: int = 0) -> ExperimentResult:
     pooled_scenario = merge_scenarios(bundle.task.scenarios, name="pooled")
     strategy = TasfarStrategy(config, calibration=bundle.calibration)
     pooled_result = strategy.adapt(bundle.source_model, pooled_scenario.adaptation.inputs)
-    pooled_trainer = nn.Trainer(pooled_result.target_model)
 
     rows = []
     for scenario in bundle.task.scenarios:
         evaluation = comparison.scenario(scenario.name)
         base = evaluation.metrics["baseline"]["test"]["mae"]
         partitioned = evaluation.metrics["tasfar"]["test"]["mae"]
-        pooled_pred = pooled_trainer.predict(scenario.test.inputs)
+        pooled_pred = nn.predict_batched(pooled_result.target_model, scenario.test.inputs)
         pooled = mae(pooled_pred, scenario.test.targets)
         rows.append(
             [

@@ -103,7 +103,7 @@ def _adapt_tracking_ste(
             nn.clip_gradients(optimizer.parameters, 5.0)
             optimizer.step()
         model.eval()
-        predictions = nn.Trainer(model).predict(scenario.adaptation.inputs)
+        predictions = nn.predict_batched(model, scenario.adaptation.inputs)
         ste_per_epoch.append(step_error(predictions, scenario.adaptation.targets))
     return ste_per_epoch
 

@@ -43,10 +43,11 @@ def fig22_failure_case(scale: str = "small", seed: int = 0) -> ExperimentResult:
     mixed = merge_scenarios([user_a, user_b], name="mixed_users")
     strategy = TasfarStrategy(TasfarConfig(seed=seed), calibration=bundle.calibration)
     result = strategy.adapt(bundle.source_model, mixed.adaptation.inputs)
-    trainer = nn.Trainer(result.target_model)
 
     base_mixed = step_error(bundle.predict(mixed.adaptation.inputs), mixed.adaptation.targets)
-    adapted_mixed = step_error(trainer.predict(mixed.adaptation.inputs), mixed.adaptation.targets)
+    adapted_mixed = step_error(
+        nn.predict_batched(result.target_model, mixed.adaptation.inputs), mixed.adaptation.targets
+    )
     mixed_reduction = (base_mixed - adapted_mixed) / base_mixed if base_mixed else 0.0
 
     per_user_reductions = []

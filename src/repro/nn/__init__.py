@@ -2,8 +2,8 @@
 
 This package is a compact, self-contained replacement for the PyTorch layer
 stack the paper builds on: explicit layer-wise backpropagation, SGD/Adam
-optimizers, dropout with Monte-Carlo sampling, temporal and 2-D convolutions,
-and a mini-batch trainer.
+optimizers, dropout with Monte-Carlo sampling, and temporal and 2-D
+convolutions.  Training loops live in :mod:`repro.engine`.
 """
 
 from .activations import Identity, LeakyReLU, ReLU, Sigmoid, Softplus, Tanh
@@ -28,11 +28,10 @@ from .models import (
     build_mlp,
     build_tcn_regressor,
 )
-from .module import Module
+from .module import Module, predict_batched
 from .normalization import BatchNorm1d, LayerNorm
 from .optim import SGD, Adam, Optimizer, clip_gradients
 from .parameter import Parameter
-from .schedulers import CosineAnnealing, ExponentialDecay, StepDecay
 from .stacked import (
     PerReplicaLoss,
     StackedAdam,
@@ -55,7 +54,6 @@ from .serialization import (
     save_model,
 )
 from .tcn import TemporalBlock, TemporalConvNet
-from .trainer import Trainer, TrainingHistory, predict_batched
 
 __all__ = [
     "Adam",
@@ -63,10 +61,8 @@ __all__ = [
     "BatchNorm1d",
     "Conv1d",
     "Conv2d",
-    "CosineAnnealing",
     "DataLoader",
     "Dropout",
-    "ExponentialDecay",
     "Flatten",
     "GlobalAveragePool1d",
     "GlobalAveragePool2d",
@@ -98,13 +94,10 @@ __all__ = [
     "StackedSGD",
     "StackingError",
     "PerReplicaLoss",
-    "StepDecay",
     "Tanh",
     "TemporalBlock",
     "TemporalConvNet",
-    "Trainer",
     "predict_batched",
-    "TrainingHistory",
     "build_domain_discriminator",
     "build_mcnn_counter",
     "build_mlp",
@@ -121,5 +114,4 @@ __all__ = [
     "parameter_bytes",
     "save_model",
     "train_test_split",
-    "get_loss",
 ]

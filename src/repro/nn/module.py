@@ -21,7 +21,7 @@ import numpy as np
 
 from .parameter import Parameter
 
-__all__ = ["BACKWARD_STATE", "Module"]
+__all__ = ["BACKWARD_STATE", "Module", "predict_batched"]
 
 #: The attributes a forward stores for its backward, across every layer.
 BACKWARD_STATE = ("_cache", "_mask", "_inputs", "_shape", "_output")
@@ -142,6 +142,18 @@ class Module:
                     f"{value.shape} vs {param.data.shape}"
                 )
             param.data[...] = value
+
+
+def predict_batched(model: Module, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    """Deterministic batched forward pass with dropout disabled."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    model.eval()
+    inputs = np.asarray(inputs, dtype=np.float64)
+    outputs = []
+    for start in range(0, len(inputs), batch_size):
+        outputs.append(model.forward(inputs[start : start + batch_size]))
+    return np.concatenate(outputs, axis=0)
 
 
 def _drop_backward_state(fields: dict) -> None:

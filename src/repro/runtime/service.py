@@ -45,7 +45,7 @@ from ..engine.strategy import AdaptationStrategy, StrategyOutcome, TasfarStrateg
 from ..nn.losses import Loss
 from ..nn.models import RegressionModel
 from ..nn.stacked import StackingError, assert_stackable
-from ..nn.trainer import predict_batched
+from ..nn.module import predict_batched
 from ..obs import MetricsRegistry, Stopwatch
 from .report import AdaptationReport
 from .snapshots import (

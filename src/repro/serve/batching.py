@@ -30,7 +30,7 @@ Coalescing happens in two tiers:
 
 Payloads at or above their request's ``batch_size`` gain nothing from tiling
 (they already amortize dispatch) and run verbatim through
-:func:`~repro.nn.trainer.predict_batched`, so for those the gateway's output
+:func:`~repro.nn.module.predict_batched`, so for those the gateway's output
 is bitwise :meth:`~repro.runtime.AdaptationService.predict`.  Sub-batch
 payloads may differ from that request-shaped path by float rounding (the
 shape-dependence above, ~1 ulp).  Those request-shaped bits are not a
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.trainer import predict_batched
+from ..nn.module import predict_batched
 
 __all__ = ["TILE_ROWS", "PredictPlan", "run_model_group"]
 

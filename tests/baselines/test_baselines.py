@@ -11,7 +11,13 @@ from repro.baselines import (
     variance_perturbation,
 )
 from repro.core import Tasfar, TasfarConfig
-from repro.engine import SourceResources, StrategyOutcome, TasfarStrategy, create_strategy
+from repro.engine import (
+    SourceResources,
+    StrategyOutcome,
+    TasfarStrategy,
+    create_strategy,
+    train_supervised,
+)
 
 
 @pytest.fixture(scope="module")
@@ -22,9 +28,8 @@ def setup():
     source_labels = source_inputs @ weights + 0.05 * rng.normal(size=200)
     target_inputs = rng.normal(loc=0.4, size=(80, 5))
     model = nn.build_mlp(5, 1, hidden_dims=(16, 8), dropout=0.2, seed=0)
-    trainer = nn.Trainer(model, lr=3e-3)
     source_data = nn.ArrayDataset(source_inputs, source_labels)
-    trainer.fit(source_data, epochs=25, batch_size=32, rng=rng)
+    train_supervised(model, source_data, epochs=25, batch_size=32, lr=3e-3, rng=rng)
     return {"model": model, "source": source_data, "target": target_inputs}
 
 

@@ -6,6 +6,7 @@ import pytest
 import repro.nn as nn
 from repro.core import Tasfar, TasfarConfig
 from repro.core.adapter import SourceCalibration
+from repro.engine import train_supervised
 from repro.uncertainty import UncertaintyCalibrator
 
 
@@ -32,14 +33,14 @@ def make_problem(seed=0, n_source=300, n_target=150):
 def trained_setup():
     source_inputs, source_labels, target_inputs, target_labels, corrupted = make_problem()
     model = nn.build_mlp(4, 1, hidden_dims=(32, 16), dropout=0.2, seed=0)
-    trainer = nn.Trainer(model, lr=3e-3)
-    trainer.fit(nn.ArrayDataset(source_inputs, source_labels), epochs=40, batch_size=32,
-                rng=np.random.default_rng(0))
+    train_supervised(
+        model, nn.ArrayDataset(source_inputs, source_labels), epochs=40, batch_size=32,
+        lr=3e-3, rng=np.random.default_rng(0),
+    )
     tasfar = Tasfar(TasfarConfig(adaptation_epochs=20, seed=0))
     calibration = tasfar.calibrate_on_source(model, source_inputs, source_labels)
     return {
         "model": model,
-        "trainer": trainer,
         "tasfar": tasfar,
         "calibration": calibration,
         "target_inputs": target_inputs,
@@ -84,17 +85,15 @@ class TestAdaptation:
             np.testing.assert_array_equal(old, new.data)
 
     def test_adaptation_does_not_degrade_clean_subset_substantially(self, trained_setup):
-        trainer = trained_setup["trainer"]
         tasfar = trained_setup["tasfar"]
         result = tasfar.adapt(
             trained_setup["model"], trained_setup["target_inputs"], trained_setup["calibration"]
         )
-        adapted_trainer = nn.Trainer(result.target_model)
         clean = ~trained_setup["corrupted"]
         inputs = trained_setup["target_inputs"][clean]
         labels = trained_setup["target_labels"][clean][:, None]
-        base_error = np.abs(trainer.predict(inputs) - labels).mean()
-        adapted_error = np.abs(adapted_trainer.predict(inputs) - labels).mean()
+        base_error = np.abs(nn.predict_batched(trained_setup["model"], inputs) - labels).mean()
+        adapted_error = np.abs(nn.predict_batched(result.target_model, inputs) - labels).mean()
         assert adapted_error < base_error * 1.5
 
     def test_uncertain_set_flags_corrupted_inputs(self, trained_setup):

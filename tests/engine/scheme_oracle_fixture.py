@@ -21,6 +21,7 @@ import numpy as np
 
 import repro.nn as nn
 from repro.core import Tasfar, TasfarConfig
+from repro.engine import train_supervised
 
 #: Seed handed to every scheme's adaptation run.
 ADAPT_SEED = 7
@@ -60,7 +61,7 @@ def build_fixture() -> dict:
 
     model = nn.build_mlp(4, 1, hidden_dims=(12, 8), dropout=0.2, seed=0)
     source_data = nn.ArrayDataset(source_inputs, source_labels)
-    nn.Trainer(model, lr=3e-3).fit(source_data, epochs=10, batch_size=32, rng=rng)
+    train_supervised(model, source_data, epochs=10, batch_size=32, lr=3e-3, rng=rng)
 
     config = fast_config()
     calibration = Tasfar(config).calibrate_on_source(model, source_inputs, source_labels)
@@ -145,7 +146,7 @@ def build_conv_fixture(kind: str) -> dict:
     probe = sample(6)
 
     source_data = nn.ArrayDataset(source_inputs, source_labels)
-    nn.Trainer(model, lr=3e-3).fit(source_data, epochs=4, batch_size=16, rng=rng)
+    train_supervised(model, source_data, epochs=4, batch_size=16, lr=3e-3, rng=rng)
 
     config = fast_config()
     calibration = Tasfar(config).calibrate_on_source(model, source_inputs, source_labels)

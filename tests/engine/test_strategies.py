@@ -25,6 +25,7 @@ from repro.engine import (
     create_strategy,
     register_strategy,
     strategy_names,
+    train_supervised,
 )
 from repro.engine.registry import SCHEME_NAMES, STRATEGY_FACTORIES
 from repro.runtime import AdaptationService
@@ -50,7 +51,7 @@ def source():
     targets = inputs @ weights + 0.1 * rng.normal(size=160)
     model = nn.build_mlp(4, 1, hidden_dims=(16, 8), dropout=0.2, seed=0)
     source_data = nn.ArrayDataset(inputs, targets)
-    nn.Trainer(model, lr=3e-3).fit(source_data, epochs=15, batch_size=32, rng=rng)
+    train_supervised(model, source_data, epochs=15, batch_size=32, lr=3e-3, rng=rng)
     calibration = Tasfar(fast_config()).calibrate_on_source(model, inputs, targets)
     return {
         "model": model,

@@ -63,7 +63,7 @@ class TestBundles:
     def test_bundle_has_trained_model_and_calibration(self):
         bundle = get_bundle("housing", "tiny", seed=0)
         assert bundle.calibration.threshold > 0
-        assert bundle.training_history.losses[-1] < bundle.training_history.losses[0]
+        assert bundle.source_losses[-1] < bundle.source_losses[0]
         predictions = bundle.predict(bundle.task.scenarios[0].adaptation.inputs[:5])
         assert predictions.shape == (5, 1)
 

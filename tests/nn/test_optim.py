@@ -1,4 +1,4 @@
-"""Tests for optimizers, gradient clipping and LR schedulers."""
+"""Tests for optimizers and gradient clipping."""
 
 import numpy as np
 import pytest
@@ -103,38 +103,6 @@ class TestClipGradients:
     def test_invalid_max_norm(self):
         with pytest.raises(ValueError):
             nn.clip_gradients([], max_norm=0.0)
-
-
-class TestSchedulers:
-    def test_step_decay(self):
-        optimizer = nn.SGD([Parameter(np.zeros(1))], lr=1.0)
-        scheduler = nn.StepDecay(optimizer, step_size=2, gamma=0.5)
-        lrs = [scheduler.step() for _ in range(4)]
-        assert lrs == [1.0, 0.5, 0.5, 0.25]
-
-    def test_exponential_decay(self):
-        optimizer = nn.SGD([Parameter(np.zeros(1))], lr=1.0)
-        scheduler = nn.ExponentialDecay(optimizer, gamma=0.9)
-        scheduler.step()
-        assert optimizer.lr == pytest.approx(0.9)
-        scheduler.step()
-        assert optimizer.lr == pytest.approx(0.81)
-
-    def test_cosine_annealing_endpoints(self):
-        optimizer = nn.SGD([Parameter(np.zeros(1))], lr=2.0)
-        scheduler = nn.CosineAnnealing(optimizer, total_epochs=10, min_lr=0.0)
-        for _ in range(10):
-            final = scheduler.step()
-        assert final == pytest.approx(0.0, abs=1e-12)
-
-    def test_invalid_scheduler_args(self):
-        optimizer = nn.SGD([Parameter(np.zeros(1))], lr=1.0)
-        with pytest.raises(ValueError):
-            nn.StepDecay(optimizer, step_size=0)
-        with pytest.raises(ValueError):
-            nn.ExponentialDecay(optimizer, gamma=0.0)
-        with pytest.raises(ValueError):
-            nn.CosineAnnealing(optimizer, total_epochs=0)
 
 
 class TestStackedAdam:

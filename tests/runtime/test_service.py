@@ -5,6 +5,7 @@ import pytest
 
 import repro.nn as nn
 from repro.core import Tasfar, TasfarConfig
+from repro.engine import train_supervised
 from repro.runtime import AdaptationReport, AdaptationService
 
 
@@ -15,8 +16,9 @@ def make_source(seed=0, n_source=160):
     inputs = rng.normal(size=(n_source, 4))
     targets = inputs @ weights + 0.1 * rng.normal(size=n_source)
     model = nn.build_mlp(4, 1, hidden_dims=(16, 8), dropout=0.2, seed=seed)
-    trainer = nn.Trainer(model, lr=3e-3)
-    trainer.fit(nn.ArrayDataset(inputs, targets), epochs=15, batch_size=32, rng=rng)
+    train_supervised(
+        model, nn.ArrayDataset(inputs, targets), epochs=15, batch_size=32, lr=3e-3, rng=rng
+    )
     config = fast_config()
     calibration = Tasfar(config).calibrate_on_source(model, inputs, targets)
     return model, calibration

@@ -25,7 +25,7 @@ import pytest
 from gateway_fixtures import fast_config
 
 from repro.nn import parameter_bytes
-from repro.nn.trainer import predict_batched
+from repro.nn.module import predict_batched
 from repro.serve.batching import PredictPlan, run_model_group
 from repro.serve.gateway import Gateway
 from repro.serve.protocol import PredictRequest, StreamRequest

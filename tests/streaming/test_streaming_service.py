@@ -5,6 +5,7 @@ import pytest
 
 import repro.nn as nn
 from repro.core import Tasfar, TasfarConfig
+from repro.engine import train_supervised
 from repro.streaming import StreamingAdaptationService
 
 
@@ -26,8 +27,8 @@ def source():
     inputs = rng.normal(size=(160, 4))
     targets = inputs @ weights + 0.1 * rng.normal(size=160)
     model = nn.build_mlp(4, 1, hidden_dims=(16, 8), dropout=0.2, seed=0)
-    nn.Trainer(model, lr=3e-3).fit(
-        nn.ArrayDataset(inputs, targets), epochs=15, batch_size=32, rng=rng
+    train_supervised(
+        model, nn.ArrayDataset(inputs, targets), epochs=15, batch_size=32, lr=3e-3, rng=rng
     )
     calibration = Tasfar(fast_config()).calibrate_on_source(model, inputs, targets)
     return model, calibration

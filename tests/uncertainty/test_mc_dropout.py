@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.nn as nn
+from repro.engine import train_supervised
 from repro.uncertainty import MCDropoutPredictor
 
 
@@ -54,10 +55,11 @@ class TestMCDropoutPredictor:
         """Large-magnitude (off-manifold) inputs should yield larger spread."""
         rng = np.random.default_rng(0)
         model = nn.build_mlp(4, 1, hidden_dims=(16, 8), dropout=0.2, seed=0)
-        trainer = nn.Trainer(model, lr=3e-3)
         inputs = rng.normal(size=(200, 4))
         targets = inputs @ np.array([1.0, -1.0, 0.5, 2.0])
-        trainer.fit(nn.ArrayDataset(inputs, targets), epochs=20, batch_size=32, rng=rng)
+        train_supervised(
+            model, nn.ArrayDataset(inputs, targets), epochs=20, batch_size=32, lr=3e-3, rng=rng
+        )
         predictor = MCDropoutPredictor(model, n_samples=20)
         normal = predictor.predict(rng.normal(size=(100, 4)))
         extreme = predictor.predict(5.0 * rng.normal(size=(100, 4)))
