@@ -14,6 +14,7 @@ import numpy as np
 
 from .. import nn
 from ..core import ConfidenceClassifier, TasfarConfig, Tasfar
+from ..engine import StackedFineTuneEngine
 from ..metrics import pearson_correlation, step_error
 from ..uncertainty import MCDropoutPredictor
 from .base import ExperimentResult, TaskBundle, get_bundle
@@ -87,22 +88,22 @@ def _adapt_tracking_ste(
     )
 
     model = copy.deepcopy(bundle.source_model)
-    for layer in model.dropout_layers():
-        layer.rate = 0.0
-    optimizer = nn.Adam(model.parameters(), lr=config.adaptation_lr)
-    loader = nn.DataLoader(dataset, batch_size=config.adaptation_batch_size, shuffle=True, rng=np.random.default_rng(seed))
-    loss = nn.MSELoss()
+    stacked = nn.stack_modules([model])
+    optimizer = nn.StackedAdam(stacked.parameters(), 1, lr=config.adaptation_lr)
+    loss = nn.PerReplicaLoss(nn.MSELoss())
 
+    def step(inputs: np.ndarray, labels: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+        values, grads = loss(stacked.forward(inputs), labels, weights)
+        stacked.backward(grads)
+        return values
+
+    # One engine run per epoch, sharing the optimizer and the shuffle
+    # stream, so the step error can be read between epochs.
+    engine = StackedFineTuneEngine(1, config.adaptation_batch_size)
+    rng = np.random.default_rng(seed)
     ste_per_epoch = []
     for _ in range(epochs):
-        model.train()
-        for inputs, labels, weights in loader:
-            optimizer.zero_grad()
-            value, grad = loss(model.forward(inputs), labels, weights)
-            model.backward(grad)
-            nn.clip_gradients(optimizer.parameters, 5.0)
-            optimizer.step()
-        model.eval()
+        engine.run(stacked, [dataset], optimizer, step, rngs=[rng])
         predictions = nn.predict_batched(model, scenario.adaptation.inputs)
         ste_per_epoch.append(step_error(predictions, scenario.adaptation.targets))
     return ste_per_epoch
