@@ -25,7 +25,6 @@ import numpy as np
 from .. import nn
 from ..core import SourceCalibration, Tasfar, TasfarConfig
 from ..data import AdaptationTask
-from ..engine import train_supervised
 from ..data.tasks import (
     SCALES,
     ScaleProfile,
@@ -34,6 +33,7 @@ from ..data.tasks import (
     on_task_registry_change,
     task_names,
 )
+from ..engine import train_supervised
 from ..metrics import format_table
 
 __all__ = [

@@ -114,4 +114,5 @@ __all__ = [
     "parameter_bytes",
     "save_model",
     "train_test_split",
+    "get_loss",
 ]
