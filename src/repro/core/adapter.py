@@ -127,8 +127,8 @@ class Tasfar:
         if source_labels.shape[0] != len(source_inputs):
             raise ValueError("source_inputs and source_labels must have the same length")
 
-        # The probe runs on a private copy: it would leave its MC masks on
-        # the caller's model, which outlives the calibration.
+        # The probe runs on a private copy: it puts the model in eval mode
+        # and its dropout layers in MC mode, which the caller's must not see.
         predictor = MCDropoutPredictor(
             copy.deepcopy(source_model),
             n_samples=self.config.n_mc_samples,
@@ -217,8 +217,8 @@ class Tasfar:
                 seed = self.config.seed if seed is None else int(seed)
                 rng = np.random.default_rng(seed)
                 # Probe the job's own copy, never the caller's model (which
-                # may be serving on other threads); eval() then drops the
-                # probe's masks before the copy trains or is returned.
+                # may be serving on other threads while the probe's dropout
+                # layers run in MC mode).
                 target_model = copy.deepcopy(source_model)
                 predictor = MCDropoutPredictor(
                     target_model,
@@ -226,7 +226,6 @@ class Tasfar:
                     seed=stream_seed_sequence(seed, ADAPTATION_STREAM),
                 )
                 prediction = predictor.predict(target_inputs)
-                target_model.eval()
                 classifier = ConfidenceClassifier(self.config.confidence_ratio)
                 classifier.threshold = calibration.threshold
                 split = classifier.split(prediction.uncertainty)

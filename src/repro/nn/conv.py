@@ -65,7 +65,6 @@ class Conv1d(Module):
         weight = initializers.he_normal((in_channels, out_channels, kernel_size), rng)
         self.weight = Parameter(weight, name=f"{name}.weight")
         self.bias = Parameter(np.zeros(out_channels), name=f"{name}.bias")
-        self._cache: tuple[np.ndarray, int] | None = None
 
     def _output_length(self, length: int) -> int:
         effective = self.dilation * (self.kernel_size - 1) + 1
@@ -88,8 +87,7 @@ class Conv1d(Module):
         for k in range(self.kernel_size):
             out_span, in_span = _tap_slices(k * self.dilation - self.padding, 1, length, out_length)
             columns[:, out_span, :, k] = channels_last[:, in_span]
-        if self.training:
-            self._cache = (columns, length)
+        self.save_for_backward((columns, length))
         flat = columns.reshape(batch * out_length, self.in_channels * self.kernel_size)
         kernel = self.weight.data.transpose(0, 2, 1).reshape(
             self.in_channels * self.kernel_size, self.out_channels
@@ -98,9 +96,7 @@ class Conv1d(Module):
         return output.reshape(batch, out_length, self.out_channels).transpose(0, 2, 1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        columns, length = self._cache
+        columns, length = self.saved()
         batch, out_length = columns.shape[0], columns.shape[1]
         grad_flat = grad_output.transpose(0, 2, 1).reshape(batch * out_length, self.out_channels)
         flat_columns = columns.reshape(batch * out_length, self.in_channels * self.kernel_size)
@@ -150,7 +146,6 @@ class Conv2d(Module):
         weight = initializers.he_normal((in_channels, out_channels, kernel_size, kernel_size), rng)
         self.weight = Parameter(weight, name=f"{name}.weight")
         self.bias = Parameter(np.zeros(out_channels), name=f"{name}.bias")
-        self._cache: tuple[np.ndarray, tuple[int, int]] | None = None
 
     def _output_size(self, size: int) -> int:
         return (size + 2 * self.padding - self.kernel_size) // self.stride + 1
@@ -173,17 +168,14 @@ class Conv2d(Module):
             for j in range(k):
                 cols_out, cols_in = _tap_slices(j - pad, stride, width, out_w)
                 columns[:, rows_out, cols_out, :, i, j] = channels_last[:, rows_in, cols_in]
-        if self.training:
-            self._cache = (columns, (height, width))
+        self.save_for_backward((columns, (height, width)))
         flat = columns.reshape(batch * out_h * out_w, self.in_channels * k * k)
         kernel = self.weight.data.transpose(0, 2, 3, 1).reshape(self.in_channels * k * k, self.out_channels)
         output = flat @ kernel + self.bias.data
         return output.reshape(batch, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        columns, (height, width) = self._cache
+        columns, (height, width) = self.saved()
         batch, out_h, out_w = columns.shape[0], columns.shape[1], columns.shape[2]
         k = self.kernel_size
         grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, self.out_channels)
@@ -213,7 +205,6 @@ class MaxPool2d(Module):
         if pool_size <= 0:
             raise ValueError("pool_size must be positive")
         self.pool_size = pool_size
-        self._cache: tuple[np.ndarray, tuple[int, ...]] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -223,17 +214,15 @@ class MaxPool2d(Module):
         trimmed = inputs[:, :, : out_h * p, : out_w * p]
         windows = trimmed.reshape(batch, channels, out_h, p, out_w, p)
         output = windows.max(axis=(3, 5))
-        if self.training:
+        if self.training:  # the tie-broken mask is backward-only work
             mask = windows == output[:, :, :, None, :, None]
             # Break ties so the gradient is routed to exactly one element per window.
             counts = mask.sum(axis=(3, 5), keepdims=True)
-            self._cache = (mask / counts, inputs.shape)
+            self.save_for_backward((mask / counts, inputs.shape))
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        mask, input_shape = self._cache
+        mask, input_shape = self.saved()
         batch, channels, height, width = input_shape
         p = self.pool_size
         out_h, out_w = height // p, width // p
@@ -247,59 +236,34 @@ class MaxPool2d(Module):
 class GlobalAveragePool2d(Module):
     """Average over the two spatial dimensions: ``(B, C, H, W) -> (B, C)``."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: tuple[int, ...] | None = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        if self.training:
-            self._shape = inputs.shape
+        self.save_for_backward(inputs.shape)
         return inputs.mean(axis=(2, 3))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        batch, channels, height, width = self._shape
-        scale = 1.0 / (height * width)
-        return np.broadcast_to(
-            grad_output[:, :, None, None] * scale, self._shape
-        ).copy()
+        shape = self.saved()
+        scale = 1.0 / (shape[2] * shape[3])
+        return np.broadcast_to(grad_output[:, :, None, None] * scale, shape).copy()
 
 
 class GlobalAveragePool1d(Module):
     """Average over the temporal dimension: ``(B, C, L) -> (B, C)``."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: tuple[int, ...] | None = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        if self.training:
-            self._shape = inputs.shape
+        self.save_for_backward(inputs.shape)
         return inputs.mean(axis=2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        batch, channels, length = self._shape
-        return np.broadcast_to(
-            grad_output[:, :, None] / length, self._shape
-        ).copy()
+        shape = self.saved()
+        return np.broadcast_to(grad_output[:, :, None] / shape[2], shape).copy()
 
 
 class Flatten(Module):
     """Flatten all dimensions after the batch dimension."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: tuple[int, ...] | None = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        if self.training:
-            self._shape = inputs.shape
+        self.save_for_backward(inputs.shape)
         return inputs.reshape(inputs.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output.reshape(self._shape)
+        return grad_output.reshape(self.saved())

@@ -37,7 +37,6 @@ class Dropout(Module):
         self.rate = float(rate)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.mc_mode = False
-        self._mask: np.ndarray | None = None
         self._mc_rng: np.random.Generator | None = None
 
     def enable_mc(self, enabled: bool = True) -> None:
@@ -63,17 +62,21 @@ class Dropout(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if not self.stochastic:
-            if self.training:
-                self._mask = None
+            # The engine zeroes rates to disable dropout mid-training: drop
+            # the mask an earlier forward kept.
+            self.save_for_backward(None)
             return inputs
         keep = 1.0 - self.rate
         rng = self._mc_rng if self._mc_rng is not None else self.rng
         # Multiplying the boolean draw by the survivor scale gives the same
         # values as dividing it by ``keep``, with a cheaper cast.
-        self._mask = (rng.random(inputs.shape) < keep) * (1.0 / keep)
-        return inputs * self._mask
+        mask = (rng.random(inputs.shape) < keep) * (1.0 / keep)
+        self.save_for_backward(mask)
+        return inputs * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        # No kept mask (rate 0, or no training forward): pass the gradient on.
+        mask = self._saved
+        if mask is None:
             return grad_output
-        return grad_output * self._mask
+        return grad_output * mask

@@ -55,7 +55,6 @@ class Linear(Module):
         self.out_features = out_features
         self.weight = Parameter(weight, name=f"{name}.weight")
         self.bias = Parameter(initializers.zeros((out_features,)), name=f"{name}.bias") if bias else None
-        self._inputs: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -65,18 +64,15 @@ class Linear(Module):
             raise ValueError(
                 f"expected input with {self.in_features} features, got {inputs.shape[-1]}"
             )
-        if self.training:
-            self._inputs = inputs
+        self.save_for_backward(inputs)
         output = inputs @ self.weight.data
         if self.bias is not None:
             output = output + self.bias.data
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._inputs is None:
-            raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        flat_inputs = self._inputs.reshape(-1, self.in_features)
+        flat_inputs = self.saved().reshape(-1, self.in_features)
         flat_grad = grad_output.reshape(-1, self.out_features)
         self.weight.accumulate_grad(flat_inputs.T @ flat_grad)
         if self.bias is not None:

@@ -5,12 +5,15 @@ implements ``backward`` that maps the gradient of the loss with respect to its
 output into the gradient with respect to its input, accumulating parameter
 gradients along the way.
 
-A forward stores what its backward reads (the attributes named in
-:data:`BACKWARD_STATE`) only in training mode.  Evaluation, serving and
-MC-dropout forwards keep nothing, except that a dropout layer in MC mode keeps
-the mask it drew.  :meth:`Module.eval` clears that state, and copies and
-pickles leave it out, so a model carries only its parameters, dropout
-generators and structure.
+Backward state has one owner, :class:`Module`.  A layer's forward hands what
+its backward reads to :meth:`Module.save_for_backward`, which keeps it in the
+module's one slot, and only in training mode; the backward reads it back with
+:meth:`Module.saved`, which raises when the slot is empty.  Evaluation, serving and MC-dropout forwards keep
+nothing.  ``eval()`` clears the slot and copies and pickles leave it out, so
+a model carries only its parameters, running statistics, dropout generators
+and structure.  Layers keep no other per-batch state:
+``tests/nn/test_backward_state.py`` fails when a copy or a pickle taken after
+a large training forward outweighs the model's parameters.
 """
 
 from __future__ import annotations
@@ -21,10 +24,7 @@ import numpy as np
 
 from .parameter import Parameter
 
-__all__ = ["BACKWARD_STATE", "Module", "predict_batched"]
-
-#: The attributes a forward stores for its backward, across every layer.
-BACKWARD_STATE = ("_cache", "_mask", "_inputs", "_shape", "_output")
+__all__ = ["Module", "predict_batched"]
 
 
 class Module:
@@ -35,6 +35,10 @@ class Module:
     whether a forward keeps backward state; it is toggled through
     :meth:`train` and :meth:`eval`.
     """
+
+    #: What the last training forward kept for the backward; set only by
+    #: :meth:`save_for_backward`.
+    _saved: object = None
 
     def __init__(self) -> None:
         self.training = True
@@ -52,6 +56,17 @@ class Module:
 
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
         return self.forward(inputs)
+
+    def save_for_backward(self, value: object) -> None:
+        """Keep ``value`` for :meth:`backward`, in training mode only."""
+        if self.training:
+            self._saved = value
+
+    def saved(self) -> object:
+        """What the last training forward kept for :meth:`backward`."""
+        if self._saved is None:
+            raise RuntimeError("backward called before forward")
+        return self._saved
 
     # ------------------------------------------------------------------
     # Parameter handling
@@ -101,13 +116,13 @@ class Module:
         """
         for module in self.modules():
             module.training = False
-            _drop_backward_state(module.__dict__)
+            module.__dict__.pop("_saved", None)
         return self
 
     def __getstate__(self) -> dict:
         """Pickle and ``copy.deepcopy`` state: everything but backward state."""
         state = self.__dict__.copy()
-        _drop_backward_state(state)
+        state.pop("_saved", None)
         return state
 
     # ------------------------------------------------------------------
@@ -154,12 +169,6 @@ def predict_batched(model: Module, inputs: np.ndarray, batch_size: int = 256) ->
     for start in range(0, len(inputs), batch_size):
         outputs.append(model.forward(inputs[start : start + batch_size]))
     return np.concatenate(outputs, axis=0)
-
-
-def _drop_backward_state(fields: dict) -> None:
-    for name in BACKWARD_STATE:
-        if fields.get(name) is not None:
-            fields[name] = None
 
 
 def _collect_parameters(value: object) -> list[Parameter]:

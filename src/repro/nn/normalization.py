@@ -27,7 +27,6 @@ class BatchNorm1d(Module):
         self.beta = Parameter(np.zeros(num_features), name=f"{name}.beta")
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -44,15 +43,13 @@ class BatchNorm1d(Module):
             mean = self.running_mean
             var = self.running_var
         std = np.sqrt(var + self.eps)
-        normalized = (inputs - mean) / std
-        if self.training:
-            self._cache = (normalized, std, inputs - mean)
+        centered = inputs - mean
+        normalized = centered / std
+        self.save_for_backward((normalized, std, centered))
         return self.gamma.data * normalized + self.beta.data
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        normalized, std, centered = self._cache
+        normalized, std, centered = self.saved()
         batch = grad_output.shape[0]
         self.gamma.accumulate_grad((grad_output * normalized).sum(axis=0))
         self.beta.accumulate_grad(grad_output.sum(axis=0))
@@ -71,7 +68,6 @@ class LayerNorm(Module):
         self.eps = float(eps)
         self.gamma = Parameter(np.ones(num_features), name=f"{name}.gamma")
         self.beta = Parameter(np.zeros(num_features), name=f"{name}.beta")
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -79,14 +75,11 @@ class LayerNorm(Module):
         var = inputs.var(axis=-1, keepdims=True)
         std = np.sqrt(var + self.eps)
         normalized = (inputs - mean) / std
-        if self.training:
-            self._cache = (normalized, std)
+        self.save_for_backward((normalized, std))
         return self.gamma.data * normalized + self.beta.data
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        normalized, std = self._cache
+        normalized, std = self.saved()
         axes = tuple(range(grad_output.ndim - 1))
         self.gamma.accumulate_grad((grad_output * normalized).sum(axis=axes))
         self.beta.accumulate_grad(grad_output.sum(axis=axes))

@@ -111,7 +111,6 @@ class StackedLinear(Module):
             )
         else:
             self.bias = None
-        self._inputs: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -124,8 +123,7 @@ class StackedLinear(Module):
             raise ValueError(
                 f"expected input with {self.in_features} features, got {inputs.shape[-1]}"
             )
-        if self.training:
-            self._inputs = inputs
+        self.save_for_backward(inputs)
         output = np.matmul(inputs, self.weight.data)
         if self.bias is not None:
             # (K, 1, out) broadcast: element (k, b, o) sees the same scalar
@@ -134,13 +132,11 @@ class StackedLinear(Module):
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._inputs is None:
-            raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
         # Per slice: (in, B) @ (B, out) — the serial layer's transposed-view
         # gemm, replica by replica.
         self.weight.accumulate_grad(
-            np.matmul(self._inputs.transpose(0, 2, 1), grad_output)
+            np.matmul(self.saved().transpose(0, 2, 1), grad_output)
         )
         if self.bias is not None:
             # sum over the batch axis of a C-contiguous (K, B, out) array:
@@ -167,7 +163,6 @@ class StackedDropout(Module):
         self.n_replicas = len(layers)
         self.rate = float(_require_uniform([l.rate for l in layers], "dropout rate"))
         self.rngs = [layer.rng for layer in layers]
-        self._mask: np.ndarray | None = None
 
     @property
     def stochastic(self) -> bool:
@@ -175,8 +170,9 @@ class StackedDropout(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if not self.stochastic:
-            if self.training:
-                self._mask = None
+            # The engine zeroes rates to disable dropout mid-training: drop
+            # the mask an earlier forward kept.
+            self.save_for_backward(None)
             return inputs
         keep = 1.0 - self.rate
         mask = np.empty(inputs.shape, dtype=np.float64)
@@ -184,13 +180,15 @@ class StackedDropout(Module):
             # Same draw shape, same generator, same (< keep) / keep
             # arithmetic as the serial layer's per-replica forward.
             mask[index] = (rng.random(inputs.shape[1:]) < keep) / keep
-        self._mask = mask
+        self.save_for_backward(mask)
         return inputs * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        # No kept mask (rate 0, or no training forward): pass the gradient on.
+        mask = self._saved
+        if mask is None:
             return grad_output
-        return grad_output * self._mask
+        return grad_output * mask
 
 
 class StackedLayerNorm(Module):
@@ -213,7 +211,6 @@ class StackedLayerNorm(Module):
         self.beta = Parameter(
             np.stack([l.beta.data for l in layers]), name=f"stacked.{first.beta.name}"
         )
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=np.float64)
@@ -221,14 +218,11 @@ class StackedLayerNorm(Module):
         var = inputs.var(axis=-1, keepdims=True)
         std = np.sqrt(var + self.eps)
         normalized = (inputs - mean) / std
-        if self.training:
-            self._cache = (normalized, std)
+        self.save_for_backward((normalized, std))
         return self.gamma.data[:, None, :] * normalized + self.beta.data[:, None, :]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        normalized, std = self._cache
+        normalized, std = self.saved()
         self.gamma.accumulate_grad((grad_output * normalized).sum(axis=1))
         self.beta.accumulate_grad(grad_output.sum(axis=1))
         grad_norm = grad_output * self.gamma.data[:, None, :]

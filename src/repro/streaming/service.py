@@ -499,9 +499,9 @@ class StreamingAdaptationService(AdaptationService):
         being served.  Returns ``None`` when no sample clears the confidence
         threshold — an all-uncertain batch carries no density information.
         """
-        # The probe switches dropout into MC mode and keeps its masks, so it
-        # runs on a private copy: the served model keeps forwarding on other
-        # threads meanwhile.
+        # The probe switches dropout into MC mode for the call, so it runs on
+        # a private copy: the served model keeps forwarding on other threads
+        # meanwhile.
         model = self._cached_model(target_id)
         predictor = MCDropoutPredictor(
             copy.deepcopy(self._source_model if model is None else model),

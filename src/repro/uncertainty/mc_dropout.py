@@ -74,9 +74,9 @@ class MCDropoutPredictor:
         model has no dropout layer a warning-level fallback is used: the
         uncertainty is zero for all samples (the confidence classifier then
         treats every sample as confident).  :meth:`predict` puts the model
-        in evaluation mode, switches its dropout layers into MC mode for the
-        call and leaves the masks it drew on them, so give it a model no
-        other thread uses: a private copy of a model that is serving.
+        in evaluation mode and switches its dropout layers into MC mode for
+        the call, so give it a model no other thread uses: a private copy of
+        a model that is serving.
     n_samples:
         Number of Monte-Carlo forward passes (paper default: 20).
     batch_size:

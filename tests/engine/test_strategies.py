@@ -454,8 +454,8 @@ class TestStartModelUntouched:
         calibration = dataclasses.replace(leg["calibration"], threshold=np.inf)
         result = Tasfar(config).adapt(leg["model"], leg["target_inputs"], calibration, seed=1)
         assert result.losses == []
-        masks = [
+        held = [
             module for module in result.target_model.modules()
-            if isinstance(module, nn.Dropout) and module._mask is not None
+            if module._saved is not None
         ]
-        assert masks == []
+        assert held == []

@@ -12,7 +12,6 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.base import ExperimentResult
-from repro.nn import Dropout
 
 EXPECTED_IDS = {
     "fig2_label_distributions",
@@ -74,7 +73,7 @@ class TestBundles:
         bundle = get_bundle(task, "tiny", seed=11)
         held = [
             module for module in bundle.source_model.modules()
-            if isinstance(module, Dropout) and module._mask is not None
+            if module._saved is not None
         ]
         assert held == []
 

@@ -292,7 +292,8 @@ def test_relu_matches_reference_on_adversarial_values(layout):
     layer, reference = twin(ReLU())
     out = layer.forward(inputs)
     assert_bits_equal(out, reference.forward(inputs), layout=True)
-    np.testing.assert_array_equal(layer._mask, reference._mask)
+    # The layer keeps its output, whose positives are the reference's mask.
+    np.testing.assert_array_equal(layer.saved() > 0, reference._mask)
     grad = _adversarial_values(rng)[: inputs.size].reshape(inputs.shape)
     with np.errstate(invalid="ignore"):  # inf * False is NaN on both sides
         assert_bits_equal(layer.backward(grad), reference.backward(grad))
@@ -326,12 +327,15 @@ def test_dropout_matches_reference(rate, layout, mode):
         inputs = _inputs(shape, layout, rng)
         out = layer.forward(inputs)
         assert_bits_equal(out, reference.forward(inputs), layout=True)
-        if layer._mask is None:
-            assert reference._mask is None
+        if mode == "train" and rate > 0:
+            assert_bits_equal(layer.saved(), reference._mask, layout=True)
         else:
-            assert_bits_equal(layer._mask, reference._mask, layout=True)
+            # Only a training forward keeps its mask; the reference also
+            # keeps the one an MC forward draws.
+            assert layer._saved is None
         grad = _inputs(shape, layout, rng)
-        assert_bits_equal(layer.backward(grad), reference.backward(grad))
+        expected = reference.backward(grad) if mode == "train" else grad
+        assert_bits_equal(layer.backward(grad), expected)
     # Same draws from the same streams: the generators end in the same state.
     assert layer.rng.bit_generator.state == reference.rng.bit_generator.state
     if mode == "mc":
