@@ -40,7 +40,10 @@ def fig6_density_maps(scale: str = "small", seed: int = 0, n_users: int = 2) -> 
         estimated, _, _ = estimate_scenario_density(bundle, scenario, calibration)
         truth = true_density_map(scenario.adaptation.targets, estimated)
         similarity = map_similarity(estimated, truth)
-        maps[scenario.name] = {"estimated": estimated, "true": truth}
+        maps[scenario.name] = {
+            kind: {"edges": density_map.edges, "densities": density_map.densities}
+            for kind, density_map in (("estimated", estimated), ("true", truth))
+        }
         rows.append(
             [
                 scenario.name,

@@ -1,5 +1,7 @@
 """Integration tests for the experiment harness (run at the tiny scale)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.base import ExperimentResult
+from repro.runtime.serialization import to_jsonable
 
 EXPECTED_IDS = {
     "fig2_label_distributions",
@@ -107,6 +110,18 @@ class TestExperimentResults:
         result = run_experiment("fig7_grid_size_map_error", scale="tiny")
         per_unit_errors = [row[1] for row in result.rows]
         assert per_unit_errors[-1] <= per_unit_errors[0]
+
+    def test_fig6_stores_its_maps_as_data(self):
+        # Stored results must be byte-stable: two runs give equal JSON, with
+        # no object repr (and its memory address) in it.
+        results = [run_experiment("fig6_density_maps", scale="tiny") for _ in range(2)]
+        first, second = (to_jsonable(result.notes) for result in results)
+        assert first == second
+        assert " object at 0x" not in json.dumps(first)
+        for maps in first["maps"].values():
+            for density_map in maps.values():
+                shape = tuple(len(edge) - 1 for edge in density_map["edges"])
+                assert np.asarray(density_map["densities"]).shape == shape
 
     def test_fig2_reports_every_user(self):
         result = run_experiment("fig2_label_distributions", scale="tiny")
