@@ -15,7 +15,6 @@ where compact-model fine-tuning actually spends its time:
 from __future__ import annotations
 
 import copy
-import time
 
 import numpy as np
 
@@ -100,13 +99,9 @@ def stacked_adapt(source, datasets):
     return models, [r.losses for r in results]
 
 
-def timed(fn):
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
-def test_stacked_training_matches_serial_and_hits_speedup_bar(record_bench, perf_check):
+def test_stacked_training_matches_serial_and_hits_speedup_bar(
+    record_bench, perf_check, paired_timer
+):
     datasets = make_datasets()
     source = make_source()
 
@@ -117,22 +112,21 @@ def test_stacked_training_matches_serial_and_hits_speedup_bar(record_bench, perf
     for k in range(K):
         assert parameter_bytes(stacked_models[k]) == parameter_bytes(serial_models[k])
 
-    # Then the wall clock: best-of-N with the two paths interleaved so slow
-    # system drift hits both equally.
-    serial_times, stacked_times = [], []
-    for _ in range(5):
-        serial_times.append(timed(lambda: serial_adapt(source, datasets)))
-        stacked_times.append(timed(lambda: stacked_adapt(source, datasets)))
-    serial_seconds = min(serial_times)
-    stacked_seconds = min(stacked_times)
-    speedup = serial_seconds / stacked_seconds
+    # Then the wall clock, by paired rounds: the median of the per-round
+    # serial/stacked ratios.
+    timing = paired_timer(
+        lambda: serial_adapt(source, datasets), lambda: stacked_adapt(source, datasets), rounds=9
+    )
+    serial_seconds, stacked_seconds = timing.first, timing.second
+    speedup = timing.ratio
 
     text = (
         f"[bench_batched_train] serial vs stacked fine-tune "
-        f"(K={K} replicas, {N_ROWS} samples x {EPOCHS} epochs, batch {BATCH_SIZE})\n"
+        f"(K={K} replicas, {N_ROWS} samples x {EPOCHS} epochs, batch {BATCH_SIZE}), "
+        f"median over 9 paired rounds\n"
         f"serial  ({K} engine runs): {serial_seconds * 1e3:8.2f} ms\n"
         f"stacked (1 batched run):   {stacked_seconds * 1e3:8.2f} ms  "
-        f"(bit-identical, {speedup:.2f}x)"
+        f"(bit-identical, {speedup:.2f}x, noise ±{timing.noise:.2f}x)"
     )
     print("\n" + text)
     record_bench(

@@ -47,20 +47,34 @@ from repro.uncertainty import MCDropoutPredictor
 from conftest import parallel_capacity
 
 
+def loop_predict(model, inputs, n_mc, seed):
+    """The loop baseline: the full input forwarded once per MC pass — the
+    pre-vectorization protocol — with per-layer streams seeded as the
+    predictor seeds them, returning the predictor's mean and uncertainty."""
+    model.eval()
+    layers = model.dropout_layers()
+    for layer, child in zip(layers, np.random.SeedSequence(seed).spawn(len(layers))):
+        layer.set_mc_rng(np.random.default_rng(child))
+    model.set_mc_dropout(True)
+    try:
+        samples = np.stack([model.forward(inputs) for _ in range(n_mc)])
+    finally:
+        for layer in layers:
+            layer.set_mc_rng(None)
+        model.set_mc_dropout(False)
+    return samples.mean(axis=0), samples.std(axis=0).mean(axis=1)
+
+
 def measure_mc_speedup(n_rows, n_mc, paired_timer):
     """Loop-vs-vectorized paired timing; ``ratio`` is the vectorized speedup."""
     model = nn.build_mlp(8, 1, hidden_dims=(16, 16, 16), dropout=0.2, seed=0)
     inputs = np.random.default_rng(0).normal(size=(n_rows, 8))
-    vectorized = MCDropoutPredictor(
-        model, n_samples=n_mc, seed=1, vectorized=True, mc_batch_rows=16
-    )
-    # The loop baseline forwards the full input once per MC pass — the
-    # pre-vectorization protocol.
-    looped = MCDropoutPredictor(
-        model, n_samples=n_mc, seed=1, vectorized=False, mc_batch_rows=n_rows
-    )
+    vectorized = MCDropoutPredictor(model, n_samples=n_mc, seed=1, mc_batch_rows=16)
     return paired_timer(
-        lambda: looped.predict(inputs), lambda: vectorized.predict(inputs), rounds=15, repeats=5
+        lambda: loop_predict(model, inputs, n_mc, seed=1),
+        lambda: vectorized.predict(inputs),
+        rounds=15,
+        repeats=5,
     )
 
 

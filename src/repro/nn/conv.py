@@ -92,7 +92,8 @@ class Conv1d(Module):
         kernel = self.weight.data.transpose(0, 2, 1).reshape(
             self.in_channels * self.kernel_size, self.out_channels
         )
-        output = flat @ kernel + self.bias.data
+        output = flat @ kernel
+        output += self.bias.data
         return output.reshape(batch, out_length, self.out_channels).transpose(0, 2, 1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -171,7 +172,8 @@ class Conv2d(Module):
         self.save_for_backward((columns, (height, width)))
         flat = columns.reshape(batch * out_h * out_w, self.in_channels * k * k)
         kernel = self.weight.data.transpose(0, 2, 3, 1).reshape(self.in_channels * k * k, self.out_channels)
-        output = flat @ kernel + self.bias.data
+        output = flat @ kernel
+        output += self.bias.data
         return output.reshape(batch, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

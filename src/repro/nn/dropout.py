@@ -68,11 +68,18 @@ class Dropout(Module):
             return inputs
         keep = 1.0 - self.rate
         rng = self._mc_rng if self._mc_rng is not None else self.rng
-        # Multiplying the boolean draw by the survivor scale gives the same
-        # values as dividing it by ``keep``, with a cheaper cast.
-        mask = (rng.random(inputs.shape) < keep) * (1.0 / keep)
-        self.save_for_backward(mask)
-        return inputs * mask
+        # The draw becomes the mask in place: 1.0 or 0.0, times the survivor
+        # scale, is bit for bit the boolean draw times that scale.
+        mask = rng.random(inputs.shape)
+        np.less(mask, keep, out=mask)
+        mask *= 1.0 / keep
+        if self.training:
+            self.save_for_backward(mask)
+            return inputs * mask
+        # MC mode keeps no mask, so the product reuses its buffer.  The
+        # buffer is C-ordered, as ``inputs * mask`` would be against a
+        # C-ordered mask, so downstream reductions see the same layout.
+        return np.multiply(inputs, mask, out=mask)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         # No kept mask (rate 0, or no training forward): pass the gradient on.

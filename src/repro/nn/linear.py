@@ -67,7 +67,7 @@ class Linear(Module):
         self.save_for_backward(inputs)
         output = inputs @ self.weight.data
         if self.bias is not None:
-            output = output + self.bias.data
+            output += self.bias.data
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -128,7 +128,7 @@ class StackedLinear(Module):
         if self.bias is not None:
             # (K, 1, out) broadcast: element (k, b, o) sees the same scalar
             # add as the serial layer's (out,) broadcast.
-            output = output + self.bias.data[:, None, :]
+            output += self.bias.data[:, None, :]
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

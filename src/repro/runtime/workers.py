@@ -27,6 +27,18 @@ Design points:
 * **Eager start.**  The pool spawns every worker at construction (and at
   :meth:`~AdaptationWorkerPool.restart`), so the first adaptation never
   pays for spawn and no worker is forked from a serving thread.
+* **Workers keep their heap.**  Before warming up, a worker pins glibc's
+  allocator thresholds (``mallopt``): blocks up to 32 MiB come from the
+  heap, and the heap top is trimmed only once 64 MiB of it is free — the
+  ceilings glibc's own dynamic rule would reach on 64-bit.  Under the
+  dynamic rule every MC-dropout chunk of the PDR TCN freed its
+  temporaries, glibc trimmed the heap top, and the next chunk faulted the
+  same pages back in: the seven small-scale PDR users' MC probes took
+  128k minor faults in one process, and one onboarding wave of them 55k
+  in two workers; pinned, a wave takes a few dozen.  Only the pool's own
+  worker processes are pinned, never the process that imports
+  :mod:`repro`; where ``mallopt`` is missing (macOS, Windows) nothing
+  changes.
 * **Crash isolation.**  :meth:`AdaptationWorkerPool.restart` *kills* the
   worker processes (it does not drain them) and stands up a fresh pool.
   In-flight futures then raise instead of hanging — queued ones come back
@@ -37,6 +49,7 @@ Design points:
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import threading
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
@@ -143,7 +156,31 @@ def run_task(
 _WORKER_STATE: dict = {}
 
 
+#: glibc ``mallopt`` parameters (``malloc.h``) and the values workers pin:
+#: glibc's 64-bit ceiling for the mmap threshold, and twice that for trimming.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES
+
+
+def _mallopt():
+    """The C library's ``mallopt``, or ``None`` where there is none."""
+    try:
+        return getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):  # no C library to load, or no dlopen(NULL)
+        return None
+
+
+def _pin_heap() -> None:
+    """Stop glibc from trimming and re-faulting this process's heap."""
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def _init_worker(source_model: RegressionModel, strategy: AdaptationStrategy) -> None:
+    _pin_heap()
     _WORKER_STATE["source_model"] = source_model
     _WORKER_STATE["strategy"] = strategy
     _warm_compute_path(strategy, source_model)

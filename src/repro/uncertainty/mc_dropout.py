@@ -5,21 +5,16 @@ The paper estimates prediction confidence with the dropout mechanism
 predictions from twenty samplings with a dropout rate of 0.2."  This module
 implements exactly that protocol on top of :class:`repro.nn.RegressionModel`.
 
-Two execution strategies are provided:
-
-* the **vectorized** path (default) stacks ``n_samples`` replicas of each
-  mini-batch along the batch axis and runs them through the network in a
-  single forward pass;
-* the **loop** path runs ``n_samples`` sequential forward passes per
-  mini-batch — the paper's literal protocol.
-
-Both paths give every dropout layer its own private random stream
-(:meth:`repro.nn.Dropout.set_mc_rng`).  Because ``Generator.random`` fills
-arrays from the stream in C order, one stacked ``(n_samples * batch, ...)``
-mask draw is bit-identical to ``n_samples`` consecutive ``(batch, ...)``
-draws, so the two strategies produce **bit-for-bit identical results** for
-the same seed while the vectorized one amortizes the Python/numpy per-layer
-call overhead over ``n_samples`` replicas (see
+All ``n_samples`` replicas of each input chunk run as one stacked forward:
+the chunk is tiled along the batch axis, and every dropout layer draws from
+its own private random stream (:meth:`repro.nn.Dropout.set_mc_rng`).
+Because ``Generator.random`` fills arrays from the stream in C order, one
+stacked ``(n_samples * batch, ...)`` mask draw is bit-identical to
+``n_samples`` consecutive ``(batch, ...)`` draws, so the stacked forward
+gives **bit-for-bit** the results of the paper's literal protocol of
+sequential passes (``tests/uncertainty/test_mc_dropout_equivalence.py``
+keeps that loop as its reference) while amortizing the Python/numpy
+per-layer call overhead over ``n_samples`` replicas (see
 ``benchmarks/test_bench_runtime.py`` for the measured speedup).
 """
 
@@ -93,13 +88,8 @@ class MCDropoutPredictor:
         order-independent.  With ``None`` the entropy is drawn from the
         model's first dropout layer's own generator, so repeated calls
         differ (the historical behaviour).
-    vectorized:
-        Use the stacked-replica forward (default).  ``False`` selects the
-        sequential per-sample loop.
     mc_batch_rows:
-        Input rows per MC chunk, shared by both strategies so they consume
-        the per-layer mask streams identically (and therefore draw
-        bit-identical dropout masks for the same seed).  Defaults to
+        Input rows per MC chunk.  Defaults to
         ``max(1, batch_size // n_samples)``.
     """
 
@@ -109,7 +99,6 @@ class MCDropoutPredictor:
         n_samples: int = 20,
         batch_size: int = 256,
         seed: int | np.random.SeedSequence | None = None,
-        vectorized: bool = True,
         mc_batch_rows: int | None = None,
     ) -> None:
         if n_samples < 2:
@@ -117,7 +106,6 @@ class MCDropoutPredictor:
         self.model = model
         self.n_samples = n_samples
         self.batch_size = batch_size
-        self.vectorized = vectorized
         if mc_batch_rows is None:
             mc_batch_rows = max(1, batch_size // n_samples)
         if mc_batch_rows < 1:
@@ -154,10 +142,7 @@ class MCDropoutPredictor:
             layer.set_mc_rng(rng)
             layer.enable_mc(True)
         try:
-            if self.vectorized:
-                samples = self._mc_samples_vectorized(inputs)
-            else:
-                samples = self._mc_samples_loop(inputs)
+            samples = self._mc_samples(inputs)
         finally:
             for layer in dropout_layers:
                 layer.set_mc_rng(None)
@@ -173,9 +158,6 @@ class MCDropoutPredictor:
             samples=samples if keep_samples else None,
         )
 
-    # ------------------------------------------------------------------
-    # MC sampling strategies
-    # ------------------------------------------------------------------
     def _layer_rngs(self, dropout_layers: list[Dropout]) -> list[np.random.Generator]:
         """One independent generator per dropout layer.
 
@@ -190,7 +172,7 @@ class MCDropoutPredictor:
             children = np.random.SeedSequence(entropy).spawn(len(dropout_layers))
         return [np.random.default_rng(child) for child in children]
 
-    def _mc_samples_vectorized(self, inputs: np.ndarray) -> np.ndarray:
+    def _mc_samples(self, inputs: np.ndarray) -> np.ndarray:
         """All MC passes of each input chunk in one stacked forward."""
         batches = []
         for start in range(0, len(inputs), self.mc_batch_rows):
@@ -198,20 +180,6 @@ class MCDropoutPredictor:
             tiled = np.concatenate([chunk] * self.n_samples, axis=0)
             outputs = self.model.forward(tiled)
             batches.append(outputs.reshape(self.n_samples, len(chunk), -1))
-        return np.concatenate(batches, axis=1)
-
-    def _mc_samples_loop(self, inputs: np.ndarray) -> np.ndarray:
-        """Reference strategy: ``n_samples`` sequential passes per chunk.
-
-        Iterates chunk-major (all MC passes of a chunk before moving on to
-        the next) so the per-layer stream consumption matches the stacked
-        draw of the vectorized path exactly.
-        """
-        batches = []
-        for start in range(0, len(inputs), self.mc_batch_rows):
-            chunk = inputs[start : start + self.mc_batch_rows]
-            passes = [self.model.forward(chunk) for _ in range(self.n_samples)]
-            batches.append(np.stack(passes, axis=0))
         return np.concatenate(batches, axis=1)
 
     def _forward_batched(self, inputs: np.ndarray) -> np.ndarray:

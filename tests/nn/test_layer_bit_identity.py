@@ -4,8 +4,9 @@ straightforward reference forms.
 The layers on the TCN path trade their textbook implementations for cheaper
 ones: im2col columns filled straight from the unpadded input, gradients
 scattered into an unpadded buffer, ``fmax`` instead of ``where`` in ReLU,
-and a multiplied (not divided) dropout mask.  Every one of those rewrites
-claims *exact* arithmetic, not closeness.  The reference classes below are
+a multiplied (not divided) dropout mask built in its draw's buffer, and
+biases added in place.  Every one of those rewrites claims *exact*
+arithmetic, not closeness, and none may write into the caller's inputs.  The reference classes below are
 the textbook forms, kept verbatim as oracles; each test asserts that forward
 outputs, input gradients, parameter gradients, dropout masks and generator
 states match bit for bit, including the memory layout of every forward
@@ -23,7 +24,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.nn import Conv1d, Conv2d, Dropout, ReLU
+from repro.nn import Conv1d, Conv2d, Dropout, Linear, ReLU, StackedLinear
 from repro.nn.models import RegressionModel, build_tcn_regressor
 
 
@@ -362,3 +363,103 @@ def test_tcn_train_step_and_mc_forward_match_reference():
             layer.enable_mc(True)
     inputs = rng.normal(size=(240, 6, 20))
     assert_bits_equal(model.forward(inputs), reference.forward(inputs), layout=True)
+
+
+# ----------------------------------------------------------------------
+# In-place forwards: the caller's inputs stay as they were, and the values
+# are the out-of-place expressions' bit for bit.
+# ----------------------------------------------------------------------
+def forward_leaving_inputs(layer, inputs):
+    """``layer.forward(inputs)``, asserting that ``inputs`` is byte-unchanged."""
+    before = inputs.copy(order="K")
+    out = layer.forward(inputs)
+    assert_bits_equal(inputs, before, layout=True)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["train", "mc", "eval"])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+@pytest.mark.parametrize("rate", [0.0, 0.2, 0.9])
+def test_dropout_forward_matches_the_out_of_place_mask(rate, layout, mode):
+    layer = Dropout(rate, rng=np.random.default_rng(7))
+    layer.training = mode == "train"
+    if mode == "mc":
+        layer.enable_mc(True)
+        layer.set_mc_rng(np.random.default_rng(11))
+    # The stream the layer draws from, replayed.
+    draws = np.random.default_rng(11 if mode == "mc" else 7)
+    rng = np.random.default_rng(4)
+    values = _adversarial_values(rng)
+    keep = 1.0 - rate
+    for shape in [(6, 3, 10), (1, 5), (4, 2, 3, 3)]:
+        inputs = _inputs(shape, layout, rng)
+        inputs.flat[: min(inputs.size, 32)] = values[:32][: inputs.size]
+        # inf * 0 is NaN and max * 1.25 overflows, on both sides alike.
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = forward_leaving_inputs(layer, inputs)
+            if not layer.stochastic:  # eval mode or rate 0: a pass-through
+                assert out is inputs
+                assert layer._saved is None
+                continue
+            mask = (draws.random(shape) < keep) * (1.0 / keep)
+            assert_bits_equal(out, inputs * mask, layout=True)
+        if mode == "train":
+            assert_bits_equal(layer.saved(), mask, layout=True)
+        else:
+            assert layer._saved is None
+    assert (layer._mc_rng or layer.rng).bit_generator.state == draws.bit_generator.state
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+@pytest.mark.parametrize("conv", ["conv1d", "conv2d"])
+def test_conv_bias_add_matches_the_out_of_place_sum(conv, layout, training):
+    # The reference layers keep ``flat @ kernel + bias`` verbatim.
+    rng = np.random.default_rng(8)
+    if conv == "conv1d":
+        layer, shape = Conv1d(3, 4, 3, dilation=2, rng=rng), (5, 3, 11)
+    else:
+        layer, shape = Conv2d(2, 4, 3, stride=2, padding=1, rng=rng), (3, 2, 7, 6)
+    layer.bias.data = rng.normal(size=4)
+    layer, reference = twin(layer)
+    layer.training = reference.training = training
+    inputs = _inputs(shape, layout, rng)
+    out = forward_leaving_inputs(layer, inputs)
+    assert_bits_equal(out, reference.forward(inputs), layout=True)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_linear_bias_add_matches_the_out_of_place_sum(layout, bias):
+    rng = np.random.default_rng(9)
+    layer = Linear(5, 3, bias=bias, rng=rng)
+    if bias:
+        layer.bias.data = rng.normal(size=3)
+    for shape in [(7, 5), (2, 4, 5)]:
+        inputs = rng.normal(size=shape) if layout == "contiguous" else rng.normal(size=shape[::-1]).T
+        out = forward_leaving_inputs(layer, inputs)
+        expected = inputs @ layer.weight.data + layer.bias.data if bias else inputs @ layer.weight.data
+        assert_bits_equal(out, expected, layout=True)
+    single = rng.normal(size=5)
+    expected = single[None, :] @ layer.weight.data
+    if bias:
+        expected = expected + layer.bias.data
+    assert_bits_equal(forward_leaving_inputs(layer, single), expected, layout=True)
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_stacked_linear_bias_add_matches_the_out_of_place_sum(layout, bias):
+    rng = np.random.default_rng(10)
+    layers = [Linear(5, 3, bias=bias, rng=rng) for _ in range(4)]
+    layer = StackedLinear(layers)
+    if bias:
+        layer.bias.data = rng.normal(size=(4, 3))
+    inputs = rng.normal(size=(4, 6, 5))
+    if layout == "transposed":
+        inputs = rng.normal(size=(4, 5, 6)).transpose(0, 2, 1)
+    out = forward_leaving_inputs(layer, inputs)
+    expected = np.matmul(inputs, layer.weight.data)
+    if bias:
+        expected = expected + layer.bias.data[:, None, :]
+    assert_bits_equal(out, expected, layout=True)

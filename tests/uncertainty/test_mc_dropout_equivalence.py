@@ -1,13 +1,12 @@
-"""Equivalence regression tests: vectorized vs. loop MC dropout.
+"""Equivalence regression tests: the stacked MC-dropout forward vs. the loop.
 
-The vectorized predictor stacks all MC replicas of an input chunk into one
-forward pass.  These tests pin down its contract against the sequential-loop
-reference (kept here as an oracle, independent of the library's own loop
-strategy):
+The predictor stacks all MC replicas of an input chunk into one forward
+pass.  These tests pin down its contract against the paper's literal
+protocol, one forward per MC pass, kept here as the reference:
 
-* dropout masks are **bit-for-bit identical** between the strategies for the
-  same seed (proved on a matmul-free model, where the network output *is*
-  the masked input);
+* dropout masks are **bit-for-bit identical** to the loop's for the same
+  seed (proved on a matmul-free model, where the network output *is* the
+  masked input);
 * full-model outputs are bit-for-bit identical when every chunk is full
   (MLP, TCN and MCNN);
 * ragged trailing chunks stay within a couple of ULPs — BLAS picks
@@ -36,9 +35,10 @@ class _Identity(nn.Module):
 def loop_oracle(build_model, inputs, n_samples, seed, chunk_rows):
     """Reference implementation: ``n_samples`` sequential stochastic passes.
 
-    Mirrors the pre-vectorization protocol — one Python-level forward per MC
-    sample — with each dropout layer reading its own seeded stream, iterating
-    chunk-major over the input.
+    The paper's protocol — one Python-level forward per MC sample — with
+    each dropout layer reading its own seeded stream, iterating chunk-major
+    (all passes of a chunk before the next) so the per-layer streams are
+    consumed as the predictor's stacked draw consumes them.
     """
     model = build_model()
     model.eval()
@@ -82,8 +82,8 @@ class TestMaskEquivalence:
     def test_masks_bitwise_identical(self):
         """On a matmul-free model the outputs are exactly the masked inputs,
 
-        so equality here proves the two strategies draw bit-identical
-        dropout masks — for every input size, ragged chunks included.
+        so equality here proves the predictor draws the loop's dropout
+        masks bit for bit — for every input size, ragged chunks included.
         """
 
         def build():
@@ -93,13 +93,11 @@ class TestMaskEquivalence:
 
         inputs = np.random.default_rng(0).normal(size=(53, 3))
         for chunk_rows in (7, 16, 53):
-            vectorized = MCDropoutPredictor(
-                build(), n_samples=9, seed=77, vectorized=True, mc_batch_rows=chunk_rows
+            stacked = MCDropoutPredictor(
+                build(), n_samples=9, seed=77, mc_batch_rows=chunk_rows
             ).predict(inputs, keep_samples=True)
-            looped = MCDropoutPredictor(
-                build(), n_samples=9, seed=77, vectorized=False, mc_batch_rows=chunk_rows
-            ).predict(inputs, keep_samples=True)
-            np.testing.assert_array_equal(vectorized.samples, looped.samples)
+            oracle = loop_oracle(build, inputs, n_samples=9, seed=77, chunk_rows=chunk_rows)
+            np.testing.assert_array_equal(stacked.samples, oracle)
 
     def test_different_seeds_give_different_masks(self):
         build, shape = MODEL_CASES["mlp"]
@@ -115,21 +113,11 @@ class TestOutputEquivalence:
         build, shape = MODEL_CASES[case]
         inputs = np.random.default_rng(7).normal(size=shape)
         chunk_rows = 8  # divides every case's input length: no ragged chunk
-        vectorized = MCDropoutPredictor(
-            build(), n_samples=7, seed=123, vectorized=True, mc_batch_rows=chunk_rows
+        stacked = MCDropoutPredictor(
+            build(), n_samples=7, seed=123, mc_batch_rows=chunk_rows
         ).predict(inputs, keep_samples=True)
         oracle = loop_oracle(build, inputs, n_samples=7, seed=123, chunk_rows=chunk_rows)
-        np.testing.assert_array_equal(vectorized.samples, oracle)
-
-    @pytest.mark.parametrize("case", sorted(MODEL_CASES))
-    def test_library_loop_strategy_matches_oracle_bitwise(self, case):
-        build, shape = MODEL_CASES[case]
-        inputs = np.random.default_rng(7).normal(size=shape)
-        looped = MCDropoutPredictor(
-            build(), n_samples=7, seed=123, vectorized=False, mc_batch_rows=10
-        ).predict(inputs, keep_samples=True)
-        oracle = loop_oracle(build, inputs, n_samples=7, seed=123, chunk_rows=10)
-        np.testing.assert_array_equal(looped.samples, oracle)
+        np.testing.assert_array_equal(stacked.samples, oracle)
 
     @pytest.mark.parametrize("case", sorted(MODEL_CASES))
     def test_ragged_chunks_match_within_ulps(self, case):
@@ -137,19 +125,23 @@ class TestOutputEquivalence:
         build, shape = MODEL_CASES[case]
         inputs = np.random.default_rng(7).normal(size=shape)
         chunk_rows = 9  # leaves a ragged final chunk for every case
-        vectorized = MCDropoutPredictor(
-            build(), n_samples=7, seed=123, vectorized=True, mc_batch_rows=chunk_rows
+        stacked = MCDropoutPredictor(
+            build(), n_samples=7, seed=123, mc_batch_rows=chunk_rows
         ).predict(inputs, keep_samples=True)
         oracle = loop_oracle(build, inputs, n_samples=7, seed=123, chunk_rows=chunk_rows)
-        np.testing.assert_allclose(vectorized.samples, oracle, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(stacked.samples, oracle, rtol=1e-12, atol=1e-12)
 
     def test_uncertainty_statistics_agree(self):
         build, shape = MODEL_CASES["mlp"]
         inputs = np.random.default_rng(3).normal(size=shape)
-        vectorized = MCDropoutPredictor(build(), n_samples=20, seed=9, vectorized=True).predict(inputs)
-        looped = MCDropoutPredictor(build(), n_samples=20, seed=9, vectorized=False).predict(inputs)
-        np.testing.assert_allclose(vectorized.uncertainty, looped.uncertainty, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(vectorized.mean, looped.mean, rtol=1e-12, atol=1e-14)
+        predictor = MCDropoutPredictor(build(), n_samples=20, seed=9)
+        stacked = predictor.predict(inputs)
+        oracle = loop_oracle(
+            build, inputs, n_samples=20, seed=9, chunk_rows=predictor.mc_batch_rows
+        )
+        std = oracle.std(axis=0)
+        np.testing.assert_allclose(stacked.uncertainty, std.mean(axis=1), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(stacked.mean, oracle.mean(axis=0), rtol=1e-12, atol=1e-14)
 
     def test_seeded_predictions_reproducible(self):
         build, shape = MODEL_CASES["tcn"]
