@@ -37,7 +37,7 @@ def main() -> None:
         service = AdaptationService(
             bundle.source_model, bundle.calibration, strategy=strategy
         )
-        report = service.adapt_many(targets, jobs=1)[scenario.name]
+        report = service.adapt_many(targets)[scenario.name]
         after = mse(
             service.predict(scenario.name, scenario.test.inputs), scenario.test.targets
         )

@@ -64,7 +64,11 @@ def main() -> None:
     service = AdaptationService(model, calibration, config=config, max_cached_models=len(task.scenarios))
     fleet = {scenario.name: scenario.adaptation.inputs for scenario in task.scenarios}
     print(f"adapting {len(fleet)} users on 4 worker processes ...")
-    reports = service.adapt_many(fleet, jobs=4)
+    service.use_process_workers(4)
+    try:
+        reports = service.adapt_many(fleet)
+    finally:
+        service.close()  # the workers go; the adapted models stay cached
 
     print(f"\n{'user':<16}{'group':<8}{'conf/unc':>10}{'STE before':>12}{'STE after':>12}{'secs':>7}")
     for scenario in task.scenarios:

@@ -2,9 +2,9 @@
 
 :class:`NetClient` is deliberately synchronous — one socket, blocking I/O,
 per-operation timeouts — because every caller of the gateway surface is
-synchronous: the CLI, the simulator's mutator chains, the benchmark
-harness.  Concurrency comes from *many* clients (the simulator opens one
-per chain thread), matching how the server multiplexes connections.
+synchronous: the CLI, the simulator, the benchmark harness.  Concurrency
+comes from *many* clients (one per calling thread), matching how the server
+multiplexes connections.
 
 Retry policy is bounded and honest about side effects.  A failure while
 *connecting or sending* is always safe to retry: the server cannot have
@@ -202,9 +202,8 @@ class RemoteGateway:
     """The gateway submission surface, served by a remote ``NetServer``.
 
     Each calling thread gets its own :class:`NetClient` (connections are
-    ordered, threads are not), created lazily and reused — the simulator's
-    mutator-chain threads each hold a connection for their whole run, the
-    shape a real multi-client fleet has.
+    ordered, threads are not), created lazily and reused for the thread's
+    whole run, the shape a real multi-client fleet has.
 
     ``local`` optionally names the in-process gateway *behind* the server
     when both live in one process (tests, ``verify_transport``): invariant

@@ -5,7 +5,7 @@ TASFAR's deployment story (Section IV of the paper) is one adapted model per
 :class:`AdaptationService` is the serving-side driver for that story: the
 source model and its calibration are registered once, then ``adapt(target_id,
 data)`` is called for as many targets as show up, optionally on worker
-processes (:meth:`AdaptationService.adapt_many`).
+processes (:meth:`AdaptationService.use_process_workers`).
 
 Design points:
 
@@ -14,9 +14,9 @@ Design points:
   adapts a private deep copy of the pristine source model, so running four
   targets on four worker processes produces bit-identical results to
   running them one after another.
-* **One runner** — every adaptation entry point (``adapt``, ``adapt_stack``,
-  ``adapt_many`` and the streaming subclass's re-adaptations) hands a list
-  of tasks to :meth:`AdaptationService._run_tasks` and settles the results
+* **One runner** — ``adapt`` and ``adapt_many`` wrap ``adapt_stack``, and
+  it and the streaming subclass's re-adaptations hand a list of tasks to
+  :meth:`AdaptationService._run_tasks` in one call and settle the results
   through :meth:`AdaptationService._settle`; only the runner knows whether
   a task runs in process or on worker processes.
 * **Bounded memory** — adapted models are kept in an LRU cache
@@ -34,7 +34,6 @@ import copy
 import hashlib
 import threading
 from collections import OrderedDict, deque
-from contextlib import closing
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -54,7 +53,7 @@ from .snapshots import (
     encode_model_weights,
     restore_model_weights,
 )
-from .workers import AdaptationWorkerPool, Job, JobResult, run_task
+from .workers import AdaptationWorkerPool, Job, JobResult, WorkerCrashError, run_task
 
 __all__ = ["AdaptationService", "canonical_target_id"]
 
@@ -269,17 +268,13 @@ class AdaptationService:
             The JSON-serializable summary; the adapted model itself is
             retrievable via :meth:`model_for` while cached.
         """
-        target_id = canonical_target_id(target_id)
-        seed = self.target_seed(target_id) if seed is None else int(seed)
-        task = [(target_id, inputs, seed, None)]
-        [results] = self._run_tasks([task])
-        [(report, error)] = self._settle(task, results, "cold")
+        [(report, error)] = self.adapt_stack([(target_id, inputs, seed)])
         if error is not None:
             raise error
         return report
 
     def _run_tasks(
-        self, tasks: list[list[Job]], warm_epochs: int | None = None, jobs: int = 1
+        self, tasks: list[list[Job]], warm_epochs: int | None = None
     ) -> Iterator[list[JobResult]]:
         """Run adaptation tasks; yield each task's per-job results, in input order.
 
@@ -288,31 +283,26 @@ class AdaptationService:
         ``strategy.adapt`` for a single job, one stacked fine-tune for more.
         This is the one place that decides *where* adaptations run — on the
         attached process pool when there is one (every task is submitted up
-        front, then results are collected in order), on an ephemeral pool
-        when ``jobs > 1`` asks for worker processes, and otherwise in the
-        calling thread, one task at a time as the caller consumes results.
-        Per-job failures come back as data; a killed pool raises
-        :class:`~repro.runtime.WorkerCrashError`.
+        front, then results are collected in order), otherwise in the calling
+        thread, one task at a time as the caller consumes results.  Failures
+        come back as data: a job's own error, or, for every job of a task
+        whose pool was killed while it ran, the
+        :class:`~repro.runtime.WorkerCrashError`; a pool that is already
+        dead raises it when the tasks are submitted.
         """
         pool = self._worker_pool
-        workers = min(jobs, len(tasks))
-        if pool is None and workers <= 1:
+        if pool is None:
             metrics = self.metrics if self.metrics.enabled else None
             for task in tasks:
                 yield run_task(self.strategy, self._source_model, task, warm_epochs, metrics)
             return
-        ephemeral = pool is None
-        if ephemeral:
-            pool = AdaptationWorkerPool(
-                workers, self._source_model, self.strategy, metrics=self.metrics
-            )
-        try:
-            futures = [pool.submit_stacked(task, warm_epochs) for task in tasks]
-            for future in futures:
-                yield pool.collect_stacked(future)
-        finally:
-            if ephemeral:
-                pool.close()
+        futures = [pool.submit_stacked(task, warm_epochs) for task in tasks]
+        for task, future in zip(tasks, futures):
+            try:
+                results = pool.collect_stacked(future)
+            except WorkerCrashError as exc:
+                results = [(None, None, exc)] * len(task)
+            yield results
 
     def _settle(
         self,
@@ -520,20 +510,26 @@ class AdaptationService:
     def adapt_stack(
         self,
         entries: list[tuple[str, np.ndarray, int | None]],
-        *,
-        warm_epochs: int | None = None,
+        train_batching: int = 1,
     ) -> list[tuple[AdaptationReport | None, Exception | None]]:
-        """Adapt one ``train_batching`` group of targets as one task.
+        """Adapt a batch of targets: the one body every adapt entry point runs.
 
         ``entries`` are ``(target_id, inputs, seed)`` with ``seed=None``
-        meaning the usual :meth:`target_seed`.  Each job's scheme adapts its
-        own copy of the source model, so results are bit-identical to
-        per-target :meth:`adapt` calls.  Successes are stored; per-job
-        failures are returned as data in input order for the caller's error
-        policy (the serving gateway answers them as error envelopes,
-        :meth:`adapt_many` raises the first).
+        meaning the usual :meth:`target_seed`.  They are chunked into stacks
+        of up to ``train_batching`` targets, each stack one task (one
+        stacked fine-tune, or one ``strategy.adapt`` for a stack of one),
+        and every stack goes to the runner in one call, so an attached
+        process pool gets them all at once.  Each job's scheme adapts its
+        own copy of the source model, so results are bit-identical whatever
+        the stack size.  Successes are stored; failures are returned as data,
+        one ``(report, error)`` per entry in input order, for the caller's
+        error policy (the serving gateway answers them as error envelopes,
+        :meth:`adapt` and :meth:`adapt_many` raise the first).  Raises
+        :class:`ValueError` when ``train_batching > 1`` and the scheme or
+        model cannot stack — no silent fallback.
         """
-        task = [
+        size = self.check_train_batching(train_batching)
+        jobs = [
             (
                 canonical_target_id(tid),
                 data,
@@ -542,33 +538,28 @@ class AdaptationService:
             )
             for tid, data, seed in entries
         ]
-        [results] = self._run_tasks([task], warm_epochs)
-        return self._settle(task, results, "cold")
+        tasks = [jobs[start : start + size] for start in range(0, len(jobs), size)]
+        settled: list[tuple[AdaptationReport | None, Exception | None]] = []
+        for task, results in zip(tasks, self._run_tasks(tasks)):
+            settled.extend(self._settle(task, results, "cold"))
+        return settled
 
     def adapt_many(
         self,
         targets: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]],
-        jobs: int = 1,
         train_batching: int = 1,
     ) -> dict[str, AdaptationReport]:
-        """Adapt a batch of targets, optionally on worker processes.
+        """Adapt a batch of targets, on the attached worker pool if there is one.
 
         Parameters
         ----------
         targets:
             ``{target_id: inputs}`` mapping or an iterable of pairs.
-        jobs:
-            ``1`` runs in the calling thread (or on the attached pool, when
-            :meth:`use_process_workers` attached one); ``jobs > 1`` without
-            an attached pool runs on that many worker processes for this
-            call.  Any value produces identical numbers because every
-            target is independently seeded.
         train_batching:
-            Stack size for cross-target batched training.  ``K > 1`` groups
-            up to K targets into one stacked fine-tune (one task, composing
-            with worker processes across tasks), with results bit-identical
-            to serial per-target adaptation.  Raises :class:`ValueError`
-            when the scheme or model cannot stack — no silent fallback.
+            Stack size for cross-target batched training (see
+            :meth:`adapt_stack`).  Every target is independently seeded, so
+            any stack size, and any worker count attached through
+            :meth:`use_process_workers`, produces identical numbers.
 
         Returns
         -------
@@ -582,22 +573,14 @@ class AdaptationService:
                 targets.items() if isinstance(targets, Mapping) else targets
             )
         ]
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        size = self.check_train_batching(train_batching)
-        tasks = [
-            [(tid, data, self.target_seed(tid), None) for tid, data in items[start : start + size]]
-            for start in range(0, len(items), size)
-        ]
+        settled = self.adapt_stack(
+            [(tid, data, None) for tid, data in items], train_batching
+        )
         reports: dict[str, AdaptationReport] = {}
-        with closing(self._run_tasks(tasks, jobs=jobs)) as results:
-            for task, task_results in zip(tasks, results):
-                for (tid, *_), (report, error) in zip(
-                    task, self._settle(task, task_results, "cold")
-                ):
-                    if error is not None:
-                        raise error
-                    reports[tid] = report
+        for (tid, _data), (report, error) in zip(items, settled):
+            if error is not None:
+                raise error
+            reports[tid] = report
         return reports
 
     # ------------------------------------------------------------------

@@ -39,6 +39,14 @@ Design points:
   worker processes are pinned, never the process that imports
   :mod:`repro`; where ``mallopt`` is missing (macOS, Windows) nothing
   changes.
+* **Workers run BLAS on one thread.**  The pool already puts a process on
+  each core it is given; an OpenBLAS starting a thread per core in every
+  worker oversubscribes them (a 7-user PDR adapt burst on two workers and
+  two cores: 1.25 s median with OpenBLAS's default, 0.48 s with one
+  thread).  A worker sets every OpenBLAS it loaded to one thread through
+  the library's own setter — numpy's wheels prefix and suffix its name,
+  a system OpenBLAS does not; a worker without either, and the process
+  that imports :mod:`repro`, are left as they are.
 * **Crash isolation.**  :meth:`AdaptationWorkerPool.restart` *kills* the
   worker processes (it does not drain them) and stands up a fresh pool.
   In-flight futures then raise instead of hanging — queued ones come back
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import ctypes
 import multiprocessing
+import os
 import threading
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -179,8 +188,50 @@ def _pin_heap() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
+#: OpenBLAS's thread-count setter and getter, by the names numpy's wheels and
+#: a system OpenBLAS export them under.
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _loaded_openblas() -> list[tuple[ctypes.CDLL, str, str]]:
+    """``(library, setter, getter)`` of every OpenBLAS this process has loaded."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted(
+                {
+                    fields[5].strip()
+                    for fields in (line.split(maxsplit=5) for line in maps)
+                    if len(fields) == 6 and "blas" in fields[5].lower()
+                }
+            )
+    except OSError:  # no procfs: nothing to find
+        return []
+    found = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        found.extend(
+            (library, setter, getter)
+            for setter, getter in _OPENBLAS_THREADS
+            if hasattr(library, setter) and hasattr(library, getter)
+        )
+    return found
+
+
+def _single_thread_blas() -> None:
+    """Run every OpenBLAS loaded in this process on one thread."""
+    for library, setter, _getter in _loaded_openblas():
+        getattr(library, setter)(1)
+
+
 def _init_worker(source_model: RegressionModel, strategy: AdaptationStrategy) -> None:
     _pin_heap()
+    _single_thread_blas()
     _WORKER_STATE["source_model"] = source_model
     _WORKER_STATE["strategy"] = strategy
     _warm_compute_path(strategy, source_model)

@@ -18,14 +18,16 @@ subcommands — each with its own kwargs and return shapes.  The
   the shard count only ever moves targets **to the new shards**, never
   reshuffles them among the old ones;
 * every interaction goes through one ``submit()`` / ``submit_many()``
-  surface (plus a future-returning ``submit_async``), and every
-  :class:`~repro.serve.PredictRequest` — a lone one included — is answered
-  by the one micro-batching executor (:mod:`repro.serve.batching`):
-  concurrent predicts for targets sharing a model instance coalesce,
-  bit-identical to submitting the same requests one at a time and
-  measurably faster under bursty load (``benchmarks/test_bench_serve.py``).
-  The gateway has no other predict path; the request-shaped forwards of
-  :meth:`AdaptationService.predict` stay on the shard services.
+  surface (plus a future-returning ``submit_async``), and every request — a
+  lone one included — is answered as part of a per-shard group of its
+  kind.  Every :class:`~repro.serve.PredictRequest` is answered by the one
+  micro-batching executor (:mod:`repro.serve.batching`): concurrent
+  predicts for targets sharing a model instance coalesce, bit-identical to
+  submitting the same requests one at a time and measurably faster under
+  bursty load (``benchmarks/test_bench_serve.py``).  Every adapt and
+  stream request trains in a stack of up to ``train_batching`` targets.
+  The gateway has no other predict or adapt path; the request-shaped
+  forwards of :meth:`AdaptationService.predict` stay on the shard services.
 
 The pre-existing service constructors keep working untouched; the gateway is
 a facade over them, not a replacement.
@@ -80,6 +82,23 @@ def _placement_weight(target_id: str, shard: int) -> int:
     """Stable rendezvous weight of ``(target, shard)`` (process-independent)."""
     digest = hashlib.sha256(f"{target_id}\x00shard{shard}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+#: The group handler of each request kind, in the order a burst's groups are
+#: queued: mutators, then reads, then predictions.
+_ROUTES = (
+    (AdaptRequest, "_handle_adapt_group"),
+    (StreamRequest, "_handle_stream_group"),
+    ((ReportRequest, MetricsRequest), "_handle_read_group"),
+    (PredictRequest, "_handle_predict_group"),
+)
+
+
+def _route(request: object) -> int | None:
+    """Index into :data:`_ROUTES` of the request's kind (``None``: unsupported)."""
+    return next(
+        (rank for rank, (kinds, _) in enumerate(_ROUTES) if isinstance(request, kinds)), None
+    )
 
 
 def _settle(future: Future, result=None, exc: BaseException | None = None) -> None:
@@ -258,15 +277,17 @@ class Gateway:
         on ``(target_id, base_seed)``, so a fleet adapts bit-identically
         whatever the shard count.
     train_batching:
-        Stack size for cross-target batched *training*.  ``K > 1`` makes
-        :meth:`submit_many` group the :class:`~repro.serve.AdaptRequest`\\ s
-        of a burst per shard and run them as stacked fine-tunes of up to K
-        targets (and routes grouped :class:`~repro.serve.StreamRequest`\\ s
-        through the streaming service's stacked ``ingest_many``), with
-        results bit-identical to per-request handling.  Composes with
-        ``executor="process"``: each stack is one worker task.  Validated
-        against the scheme and model at construction — incompatible
-        combinations raise :class:`ValueError`, never fall back silently.
+        Stack size for cross-target batched *training*.  :meth:`submit_many`
+        groups a burst's :class:`~repro.serve.AdaptRequest`\\ s per shard
+        and trains them as stacked fine-tunes of up to K targets (``K = 1``:
+        stacks of one, each a plain ``strategy.adapt``); grouped
+        :class:`~repro.serve.StreamRequest`\\ s go through the streaming
+        service's ``ingest_many``, whose due adaptations stack the same way.
+        Results are bit-identical whatever K.  Composes with
+        ``executor="process"``: each stack is one worker task, and a burst's
+        stacks reach the pool together.  Validated against the scheme and
+        model at construction — incompatible combinations raise
+        :class:`ValueError`, never fall back silently.
     service_options:
         Extra keyword arguments forwarded to every shard service
         constructor (e.g. ``min_adapt_events`` / ``readapt_budget`` for the
@@ -478,10 +499,10 @@ class Gateway:
     # ------------------------------------------------------------------
     # Submission surface
     # ------------------------------------------------------------------
-    def _dispatch_for(self, request: Request) -> "_ShardDispatch":
+    def _shard_of(self, request: Request) -> int:
         if isinstance(request, (ReportRequest, MetricsRequest)) and request.target_id is None:
-            return self._dispatch[0]
-        return self._dispatch[self.shard_for(request.target_id)]
+            return 0
+        return self.shard_for(request.target_id)
 
     def _count_envelope(self, envelope: Envelope) -> Envelope:
         """Fold one produced envelope into the request/error/latency metrics.
@@ -534,16 +555,16 @@ class Gateway:
         The future *always* settles — with a success envelope, an error
         envelope, or (if :meth:`restart_shard_workers` kills the shard while
         the request is queued) an error envelope carrying
-        :class:`ShardRestartedError`.  A :class:`PredictRequest` is answered
-        as a one-request burst on the executor :meth:`submit_many` uses, so
-        its envelope is bit-identical to that request's answer inside any
-        burst; burst callers should still prefer :meth:`submit_many`, which
-        coalesces across the whole burst.
+        :class:`ShardRestartedError`.  The request is answered as a
+        one-request burst by the handler :meth:`submit_many` uses for its
+        kind, so its envelope is bit-identical to that request's answer
+        inside any burst; burst callers should still prefer
+        :meth:`submit_many`, which coalesces predictions and stacks
+        adaptations across the whole burst.
         """
-        dispatch = self._dispatch_for(request)
         trace = self._begin_trace(request)
         try:
-            future = dispatch.submit(
+            future = self._dispatch[self._shard_of(request)].submit(
                 self._handle_one,
                 (request,),
                 self._orphan_envelope(request),
@@ -575,60 +596,24 @@ class Gateway:
     def submit_many(self, requests: Sequence[Request] | Iterable[Request]) -> list[Envelope]:
         """Handle a batch of requests, micro-batching the predictions.
 
-        Requests are partitioned per shard and handled on the shard pools;
-        :class:`PredictRequest`\\ s that resolve to the same model instance
-        (same shard, same ``batch_size``) are answered by coalesced forwards.
-        Envelopes come back in the input order, errors as error envelopes —
-        one bad request never poisons the batch.
+        Requests are grouped per kind and shard, one group per shard pool
+        task: :class:`PredictRequest`\\ s that resolve to the same model
+        instance (same shard, same ``batch_size``) are answered by coalesced
+        forwards, and :class:`AdaptRequest`\\ s and
+        :class:`StreamRequest`\\ s train in stacks of up to
+        ``train_batching`` targets (a stack of one when it is 1).  Mutator
+        groups are queued first, then reads, then predictions, so on a
+        one-thread shard pool a burst's reads and predictions see its
+        adaptations.  Envelopes come back in the input order, errors as
+        error envelopes — one bad request never poisons the batch.
         """
         requests = list(requests)
         envelopes: list[Envelope | None] = [None] * len(requests)
         traces = [self._begin_trace(request) for request in requests]
-        predict_by_shard: dict[int, list[tuple[int, PredictRequest]]] = {}
-        adapt_by_shard: dict[int, list[tuple[int, AdaptRequest]]] = {}
-        stream_by_shard: dict[int, list[tuple[int, StreamRequest]]] = {}
-        futures: list[tuple[int, Future]] = []
+        groups: dict[tuple[int, int], list[tuple[int, Request]]] = {}
         for index, request in enumerate(requests):
-            if isinstance(request, PredictRequest):
-                shard = self.shard_for(request.target_id)
-                predict_by_shard.setdefault(shard, []).append((index, request))
-            elif self.train_batching > 1 and isinstance(
-                request, (AdaptRequest, StreamRequest)
-            ):
-                # Stacked training: adapt/stream requests coalesce per shard
-                # into grouped handlers that batch compatible fine-tunes.
-                shard = self.shard_for(request.target_id)
-                groups = (
-                    adapt_by_shard
-                    if isinstance(request, AdaptRequest)
-                    else stream_by_shard
-                )
-                groups.setdefault(shard, []).append((index, request))
-            elif isinstance(
-                request, (AdaptRequest, StreamRequest, ReportRequest, MetricsRequest)
-            ):
-                dispatch = self._dispatch_for(request)
-                trace = traces[index]
-                try:
-                    futures.append(
-                        (
-                            index,
-                            dispatch.submit(
-                                self._handle_one,
-                                (request,),
-                                self._orphan_envelope(request),
-                                on_start=None if trace is None else trace.mark_dequeued,
-                            ),
-                        )
-                    )
-                except RuntimeError as exc:
-                    # The pool died underneath us (shut down / interpreter
-                    # teardown): answer with an error envelope rather than
-                    # letting one dead shard poison the whole batch.
-                    envelopes[index] = self._count_envelope(
-                        Envelope.failure(request.kind, request.target_id, exc)
-                    )
-            else:
+            rank = _route(request)
+            if rank is None:
                 envelopes[index] = self._count_envelope(
                     Envelope.failure(
                         "unknown",
@@ -636,44 +621,39 @@ class Gateway:
                         TypeError(f"unsupported request type {type(request).__name__}"),
                     )
                 )
-        group_futures = []
-        grouped_dispatch = [
-            (self._handle_predict_group, predict_by_shard),
-            (self._handle_adapt_group, adapt_by_shard),
-            (self._handle_stream_group, stream_by_shard),
-        ]
-        for handler, by_shard in grouped_dispatch:
-            for shard, group in by_shard.items():
-                group_traces = [traces[index] for index, _ in group]
+                continue
+            groups.setdefault((rank, self._shard_of(request)), []).append((index, request))
+        futures: list[Future] = []
+        for (rank, shard), group in sorted(groups.items()):
+            handler = getattr(self, _ROUTES[rank][1])
+            group_traces = [traces[index] for index, _ in group]
 
-                def orphan_group(group=group) -> list[tuple[int, Envelope]]:
-                    return [
-                        (index, self._orphan_envelope(request)())
-                        for index, request in group
-                    ]
+            def orphan_group(group=group) -> list[tuple[int, Envelope]]:
+                return [(index, self._orphan_envelope(request)()) for index, request in group]
 
-                def mark_group_dequeued(group_traces=group_traces) -> None:
-                    for trace in group_traces:
-                        if trace is not None:
-                            trace.mark_dequeued()
+            def mark_group_dequeued(group_traces=group_traces) -> None:
+                for trace in group_traces:
+                    if trace is not None:
+                        trace.mark_dequeued()
 
-                try:
-                    group_futures.append(
-                        self._dispatch[shard].submit(
-                            handler,
-                            (shard, group),
-                            orphan_group,
-                            on_start=None if self.tracer is None else mark_group_dequeued,
-                        )
+            try:
+                futures.append(
+                    self._dispatch[shard].submit(
+                        handler,
+                        (shard, group),
+                        orphan_group,
+                        on_start=None if self.tracer is None else mark_group_dequeued,
                     )
-                except RuntimeError as exc:
-                    for index, request in group:
-                        envelopes[index] = self._count_envelope(
-                            Envelope.failure(request.kind, request.target_id, exc)
-                        )
-        for index, future in futures:
-            envelopes[index] = future.result()
-        for future in group_futures:
+                )
+            except RuntimeError as exc:
+                # The pool died underneath us (shut down / interpreter
+                # teardown): answer with error envelopes rather than letting
+                # one dead shard poison the whole batch.
+                for index, request in group:
+                    envelopes[index] = self._count_envelope(
+                        Envelope.failure(request.kind, request.target_id, exc)
+                    )
+        for future in futures:
             for index, envelope in future.result():
                 envelopes[index] = envelope
         assert all(envelope is not None for envelope in envelopes)
@@ -686,47 +666,33 @@ class Gateway:
     # Handlers
     # ------------------------------------------------------------------
     def _handle_one(self, request: Request) -> Envelope:
-        if isinstance(request, PredictRequest):
-            # A lone predict (submit_async) is a one-request burst: the burst
-            # handler answers and counts it, on the one executor.
-            [(_, envelope)] = self._handle_predict_group(
-                self.shard_for(request.target_id), [(0, request)]
-            )
-            return envelope
-        start = now()
-        try:
-            if isinstance(request, AdaptRequest):
-                payload = self._do_adapt(request)
-            elif isinstance(request, StreamRequest):
-                payload = self._do_stream(request)
-            elif isinstance(request, ReportRequest):
-                payload = self._do_report(request)
-            elif isinstance(request, MetricsRequest):
-                payload = self._do_metrics(request)
-            else:  # pragma: no cover - submit_many filters these out
-                raise TypeError(f"unsupported request type {type(request).__name__}")
-        except Exception as exc:
-            return self._count_envelope(
-                Envelope.failure(request.kind, request.target_id, exc, now() - start)
-            )
-        return self._count_envelope(
-            Envelope.success(request.kind, request.target_id, payload, now() - start)
-        )
+        """A lone request (``submit_async``) is a one-request burst of its kind."""
+        handler = getattr(self, _ROUTES[_route(request)][1])
+        [(_, envelope)] = handler(self._shard_of(request), [(0, request)])
+        return envelope
 
-    def _do_adapt(self, request: AdaptRequest) -> dict:
-        service = self.service_for(request.target_id)
-        report = service.adapt(request.target_id, request.inputs, seed=request.seed)
-        return {"report": report.to_dict(), "shard": self.shard_for(request.target_id)}
-
-    def _do_stream(self, request: StreamRequest) -> dict:
-        service = self.service_for(request.target_id)
-        if not isinstance(service, StreamingAdaptationService):
-            raise TypeError(
-                "stream requests need streaming shards: construct the Gateway with a "
-                "calibration (streaming requires the source confidence threshold)"
-            )
-        event = service.ingest(request.target_id, request.batch)
-        return {"event": event.to_dict(), "shard": self.shard_for(request.target_id)}
+    def _handle_read_group(
+        self, shard: int, group: list[tuple[int, ReportRequest | MetricsRequest]]
+    ) -> list[tuple[int, Envelope]]:
+        """Answer one shard's report and metrics requests, one at a time."""
+        results: list[tuple[int, Envelope]] = []
+        for index, request in group:
+            start = now()
+            try:
+                if isinstance(request, ReportRequest):
+                    payload = self._do_report(request)
+                else:
+                    payload = self._do_metrics(request)
+            except Exception as exc:
+                envelope = Envelope.failure(
+                    request.kind, request.target_id, exc, now() - start
+                )
+            else:
+                envelope = Envelope.success(
+                    request.kind, request.target_id, payload, now() - start
+                )
+            results.append((index, self._count_envelope(envelope)))
+        return results
 
     def _do_report(self, request: ReportRequest) -> dict:
         if request.target_id is None:
@@ -754,124 +720,94 @@ class Gateway:
     def _handle_adapt_group(
         self, shard: int, group: list[tuple[int, AdaptRequest]]
     ) -> list[tuple[int, Envelope]]:
-        """Serve one shard's adapt burst with stacked (``train_batching``) training.
+        """Serve one shard's adapt burst in stacks of up to ``train_batching``.
 
-        Requests chunk into stacks of up to ``train_batching``; each stack is
-        one fine-tune (on the shard's worker pool when one is attached).
-        Per-request failures come back inside the stack as data; a failure of
-        the *whole* stack call (e.g. the worker pool was killed underneath
-        it) fails every request of that chunk — the same error each request
-        would have seen individually.
+        The whole burst goes to the shard service in one
+        :meth:`~repro.runtime.AdaptationService.adapt_stack` call, so an
+        attached worker pool runs its stacks side by side.  Per-request
+        failures come back as data; a failure of the call itself (e.g. the
+        worker pool was already dead) fails every request of the burst.
         """
-        service = self._shards[shard]
         start = now()
+        try:
+            raw = self._shards[shard].adapt_stack(
+                [(request.target_id, request.inputs, request.seed) for _, request in group],
+                self.train_batching,
+            )
+        except Exception as exc:
+            raw = [(None, exc)] * len(group)
+        duration = now() - start
         results: list[tuple[int, Envelope]] = []
-        for chunk_start in range(0, len(group), self.train_batching):
-            chunk = group[chunk_start : chunk_start + self.train_batching]
-            entries = [
-                (request.target_id, request.inputs, request.seed)
-                for _, request in chunk
-            ]
-            try:
-                raw = service.adapt_stack(entries)
-            except Exception as exc:
-                raw = [(None, exc)] * len(chunk)
-            duration = now() - start
-            for (index, request), (report, error) in zip(chunk, raw):
-                if error is not None:
-                    envelope = Envelope.failure(
-                        request.kind, request.target_id, error, duration
-                    )
-                else:
-                    envelope = Envelope.success(
-                        request.kind,
-                        request.target_id,
-                        {"report": report.to_dict(), "shard": shard},
-                        duration,
-                    )
-                results.append((index, self._count_envelope(envelope)))
+        for (index, request), (report, error) in zip(group, raw):
+            if error is not None:
+                envelope = Envelope.failure(request.kind, request.target_id, error, duration)
+            else:
+                envelope = Envelope.success(
+                    request.kind,
+                    request.target_id,
+                    {"report": report.to_dict(), "shard": shard},
+                    duration,
+                )
+            results.append((index, self._count_envelope(envelope)))
         return results
 
     def _handle_stream_group(
         self, shard: int, group: list[tuple[int, StreamRequest]]
     ) -> list[tuple[int, Envelope]]:
-        """Serve one shard's stream burst through stacked ``ingest_many``.
+        """Serve one shard's stream burst through ``ingest_many``.
 
-        Waves of distinct target ids go through the streaming service's
-        ``train_batching`` path together (a repeated id cuts a wave — its
-        second batch must see the state its first produced).  Batches are
+        Waves of distinct target ids go through the streaming service
+        together, their due adaptations in stacks of up to
+        ``train_batching`` (a repeated id cuts a wave — its second batch
+        must see the state its first produced).  Batches are
         already shape-validated at :class:`StreamRequest` construction, so a
         wave failure here means the machinery (not a payload) broke — every
         request of the wave gets that error as its envelope.
         """
         service = self._shards[shard]
         start = now()
-        results: list[tuple[int, Envelope]] = []
-        if not isinstance(service, StreamingAdaptationService):
-            error_text = (
-                "stream requests need streaming shards: construct the Gateway with a "
-                "calibration (streaming requires the source confidence threshold)"
-            )
-            duration = now() - start
-            return [
-                (
-                    index,
-                    self._count_envelope(
-                        Envelope.failure(
-                            request.kind, request.target_id, TypeError(error_text), duration
-                        )
-                    ),
-                )
-                for index, request in group
-            ]
-        waves: list[list[tuple[int, StreamRequest]]] = []
-        wave: list[tuple[int, StreamRequest]] = []
+        waves: list[list[tuple[int, StreamRequest]]] = [[]]
         seen: set[str] = set()
         for index, request in group:
             target_id = canonical_target_id(request.target_id)
             if target_id in seen:
-                waves.append(wave)
-                wave, seen = [], set()
-            wave.append((index, request))
+                waves.append([])
+                seen = set()
+            waves[-1].append((index, request))
             seen.add(target_id)
-        if wave:
-            waves.append(wave)
+        results: list[tuple[int, Envelope]] = []
         for wave in waves:
             try:
+                if not isinstance(service, StreamingAdaptationService):
+                    raise TypeError(
+                        "stream requests need streaming shards: construct the Gateway "
+                        "with a calibration (streaming requires the source confidence "
+                        "threshold)"
+                    )
                 events = service.ingest_many(
                     [(request.target_id, request.batch) for _, request in wave],
                     train_batching=self.train_batching,
                 )
+                error = None
             except Exception as exc:
-                duration = now() - start
-                for index, request in wave:
-                    results.append(
-                        (
-                            index,
-                            self._count_envelope(
-                                Envelope.failure(
-                                    request.kind, request.target_id, exc, duration
-                                )
-                            ),
-                        )
-                    )
-                continue
+                error = exc
             duration = now() - start
-            for index, request in wave:
-                event = events[canonical_target_id(request.target_id)]
-                results.append(
-                    (
-                        index,
-                        self._count_envelope(
-                            Envelope.success(
-                                request.kind,
-                                request.target_id,
-                                {"event": event.to_dict(), "shard": shard},
-                                duration,
-                            )
-                        ),
-                    )
+            envelopes = [
+                Envelope.failure(request.kind, request.target_id, error, duration)
+                if error is not None
+                else Envelope.success(
+                    request.kind,
+                    request.target_id,
+                    {
+                        "event": events[canonical_target_id(request.target_id)].to_dict(),
+                        "shard": shard,
+                    },
+                    duration,
                 )
+                for _, request in wave
+            ]
+            for (index, _), envelope in zip(wave, envelopes):
+                results.append((index, self._count_envelope(envelope)))
         return results
 
     def _handle_predict_group(

@@ -293,7 +293,7 @@ class ConnChurnPlan(FaultPlan):
 
     Attacks the transport seam the other plans cannot reach: when the
     simulator drives a live socket server (``repro simulate --connect``),
-    each mutator-chain thread holds its own TCP connection, and this plan
+    every client thread holds its own TCP connection, and this plan
     severs all of them between ticks via the remote gateway's
     :meth:`~repro.net.RemoteGateway.schedule_churn` hook.  Connections are
     dropped at operation boundaries — never between sending a burst and

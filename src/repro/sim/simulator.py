@@ -9,12 +9,12 @@ driven, while keeping the run replayable:
 1. the tick's wire lines are decoded through :func:`repro.serve.decode_line`
    (malformed lines become error envelopes right there, like ``repro serve``);
 2. **mutators** (adapt and stream requests) run first, each target's
-   requests strictly in trace order but different targets concurrently —
-   per-target state is independently locked and seeded, so cross-target
-   interleaving cannot change any result (with ``train_batching > 1`` the
-   per-target chains instead advance in lock-step waves through one
-   :meth:`~repro.serve.Gateway.submit_many` per wave, letting the gateway
-   stack compatible adaptations into batched training passes);
+   requests strictly in trace order: the per-target chains advance in
+   lock-step waves, one :meth:`~repro.serve.Gateway.submit_many` per wave
+   holding the front request of every chain, so the gateway stacks the
+   wave's adaptations (``train_batching``) and hands them to its workers
+   together — per-target state is independently locked and seeded, so
+   grouping targets cannot change any result;
 3. **reports** run next (reads against settled state);
 4. **predictions** run last as one :meth:`~repro.serve.Gateway.submit_many`
    burst, exercising the micro-batched coalescing path.
@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,9 +253,6 @@ class Simulator:
         self._owns_gateway = gateway is None
         self.gateway = gateway if gateway is not None else build_gateway(spec, tracer=tracer)
         self.suite = InvariantSuite(self.gateway, verify_coalescing=spec.verify_coalescing)
-        # One long-lived pool for the per-tick mutator chains; per-tick
-        # executors would churn threads inside the simulator's hot loop.
-        self._chain_pool = ThreadPoolExecutor(max_workers=8, thread_name_prefix="sim-chain")
         self.virtual_time = 0.0
 
     # ------------------------------------------------------------------
@@ -316,7 +312,6 @@ class Simulator:
         mutators: "OrderedDict[str, list[tuple[int, object]]]" = OrderedDict()
         reads: list[tuple[int, object]] = []
         predicts: list[tuple[int, object]] = []
-        requests: dict[int, object] = {}
         for index, event in enumerate(events):
             request, error = decode_line(event.line)
             if request is None:
@@ -325,7 +320,6 @@ class Simulator:
                 if error is not None:
                     records[index] = RequestRecord(event, None, error)
                 continue
-            requests[index] = request
             if isinstance(request, (AdaptRequest, StreamRequest)):
                 mutators.setdefault(request.target_id, []).append((index, request))
             elif isinstance(request, ReportRequest):
@@ -333,30 +327,17 @@ class Simulator:
             elif isinstance(request, PredictRequest):
                 predicts.append((index, request))
 
-        # Phase 1 — mutators: per-target chains in trace order, chains in
-        # parallel (cross-target state is independent by construction).
-        if mutators and self.spec.train_batching > 1:
-            # Wave rounds: the front request of every non-empty chain goes
-            # out as one submit_many burst so the gateway can stack
-            # compatible adaptations.  A chain advances exactly one request
-            # per wave, so per-target order stays strict, and a wave never
-            # holds two requests for the same target — results match the
-            # serial chains exactly.
-            chains = [list(chain) for chain in mutators.values()]
-            while chains:
-                wave = [chain.pop(0) for chain in chains]
-                envelopes = self.gateway.submit_many([request for _, request in wave])
-                for (index, request), envelope in zip(wave, envelopes):
-                    records[index] = RequestRecord(events[index], request, envelope)
-                chains = [chain for chain in chains if chain]
-        elif mutators:
-            futures = [
-                self._chain_pool.submit(self._run_chain, chain)
-                for chain in mutators.values()
-            ]
-            for future in futures:
-                for index, envelope in future.result():
-                    records[index] = RequestRecord(events[index], requests[index], envelope)
+        # Phase 1 — mutators: the front request of every non-empty chain goes
+        # out as one submit_many wave.  A chain advances exactly one request
+        # per wave, so per-target order stays strict, and a wave never holds
+        # two requests for the same target.
+        chains = [list(chain) for chain in mutators.values()]
+        while chains:
+            wave = [chain.pop(0) for chain in chains]
+            envelopes = self.gateway.submit_many([request for _, request in wave])
+            for (index, request), envelope in zip(wave, envelopes):
+                records[index] = RequestRecord(events[index], request, envelope)
+            chains = [chain for chain in chains if chain]
 
         # Phase 2 — reads against settled state.
         if reads:
@@ -372,15 +353,11 @@ class Simulator:
 
         return [record for record in records if record is not None]
 
-    def _run_chain(self, chain: list[tuple[int, object]]) -> list[tuple[int, object]]:
-        return [(index, self.gateway.submit(request)) for index, request in chain]
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the chain pool and any gateway this simulator built."""
-        self._chain_pool.shutdown(wait=True)
+        """Shut down the gateway, if this simulator built it."""
         if self._owns_gateway:
             self.gateway.close()
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import copy
 from collections import OrderedDict
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from threading import Lock
 from typing import Iterable, Mapping
@@ -152,12 +152,12 @@ class _PendingIngest:
     Every ingest is *decide* (buffer the batch, probe for drift, snapshot
     everything an adaptation would consume: inputs, seed, warm base model),
     *adapt* (one task on the service's runner), *commit* and *record*.
-    :meth:`~StreamingAdaptationService.ingest` runs the phases back to back
-    under the stream lock; the stacked ``train_batching`` path decides a
-    whole wave first and then trains the due adaptations together.  This
-    record carries the decision between the phases; only its owning
-    target's state is ever referenced, which is what makes the phase split
-    equivalent to serial per-target ingestion.
+    :meth:`~StreamingAdaptationService.ingest_many` decides a whole wave
+    first, then trains the due adaptations together, then records, all
+    under the wave's stream locks.  This record carries the decision
+    between the phases; only its owning target's state is ever referenced,
+    which is what makes the phase split equivalent to serial per-target
+    ingestion.
     """
 
     target_id: str
@@ -313,16 +313,11 @@ class StreamingAdaptationService(AdaptationService):
         Buffers the batch, refreshes the target's recent density map, and —
         when warranted — runs a cold or warm-start (re-)adaptation.  Returns
         the :class:`StreamEvent` describing what happened; the full event
-        log is available via :meth:`events_for`.
+        log is available via :meth:`events_for`.  A one-item
+        :meth:`ingest_many`.
         """
         target_id = canonical_target_id(target_id)
-        batch = _checked_batch(batch)
-        state = self._stream_state(target_id)
-        with state.lock:
-            pending = self._decide_locked(target_id, state, batch)
-            if pending.due:
-                self._adapt_pending([[pending]], pending.warm, locked=True)
-            return self._record_event_locked(pending)
+        return self.ingest_many([(target_id, batch)])[target_id]
 
     def ingest_many(
         self,
@@ -331,39 +326,27 @@ class StreamingAdaptationService(AdaptationService):
     ) -> dict[str, StreamEvent]:
         """Ingest one batch for each of several targets.
 
-        With ``train_batching=1`` this is :meth:`ingest` per item, in input
-        order (adaptations run wherever the service's runner puts them: in
-        process, or on the attached worker pool).
+        Items are processed in **waves**: consecutive runs of distinct
+        target ids.  A repeated id cuts a wave, because its second batch
+        must observe the buffer/model state its first one produced —
+        exactly what serial ingestion would see.  A wave decides every
+        target in input order (buffering, drift probes, triggers), then
+        hands the due (re-)adaptations to the runner together, in stacks of
+        up to ``train_batching`` targets (warm and cold rounds stacked
+        separately, since they run different epoch schedules), then records
+        the events.  All streaming state is per-target, so this is
+        bit-identical to serial ingestion provided ``max_cached_models``
+        covers the active fleet.
 
-        ``train_batching=K > 1`` groups the (re-)adaptations this call
-        triggers — a drift-driven re-adapt storm, a cold-start wave — into
-        stacked fine-tunes of up to K targets (warm and cold rounds stacked
-        separately, since they run different epoch schedules), bit-identical
-        to serial ingestion provided ``max_cached_models`` covers the active
-        fleet.  Decision logic (buffering, drift probes, triggers) still runs
-        per target in input order; only the training is batched.  Raises
-        :class:`ValueError` when the scheme or model cannot stack — no
+        A wave holds every one of its targets' stream locks, taken in
+        sorted id order, from decision to recorded event: each ingest is as
+        atomic as a lone one, and two callers sharing a target cannot both
+        adapt the same round.  Raises :class:`ValueError` when
+        ``train_batching > 1`` and the scheme or model cannot stack — no
         silent fallback.
         """
         items = list(batches.items()) if isinstance(batches, Mapping) else list(batches)
         train_batching = self.check_train_batching(train_batching)
-        if train_batching > 1 and len(items) > 1:
-            return self._ingest_many_stacked(items, train_batching)
-        return {canonical_target_id(tid): self.ingest(tid, batch) for tid, batch in items}
-
-    def _ingest_many_stacked(
-        self, items: list[tuple[str, np.ndarray]], train_batching: int
-    ) -> dict[str, StreamEvent]:
-        """Ingest a fleet of batches with stacked (``train_batching``) training.
-
-        Items are processed in **waves**: consecutive runs of distinct
-        target ids.  A repeated id cuts a wave, because its second batch
-        must observe the buffer/model state its first one produced —
-        exactly what serial ingestion would see.  Within a wave every
-        target's decision is independent (all streaming state is
-        per-target), so deciding everything first and then batching the due
-        adaptations is equivalent to interleaving them.
-        """
         events: dict[str, StreamEvent] = {}
         wave: list[tuple[str, np.ndarray]] = []
         seen: set[str] = set()
@@ -372,7 +355,7 @@ class StreamingAdaptationService(AdaptationService):
             if tid in seen:
                 self._ingest_wave(wave, train_batching, events)
                 wave, seen = [], set()
-            wave.append((tid, batch))
+            wave.append((tid, _checked_batch(batch)))
             seen.add(tid)
         if wave:
             self._ingest_wave(wave, train_batching, events)
@@ -384,22 +367,22 @@ class StreamingAdaptationService(AdaptationService):
         train_batching: int,
         events: dict[str, StreamEvent],
     ) -> None:
-        """Decide every target in the wave, then run the due adaptations stacked."""
-        pendings = []
-        for tid, batch in wave:
-            batch = _checked_batch(batch)
-            state = self._stream_state(tid)
-            with state.lock:
-                pendings.append(self._decide_locked(tid, state, batch))
-        due = [pending for pending in pendings if pending.due]
-        for warm in (False, True):
-            # Warm and cold rounds never share a stack: they train under
-            # different epoch schedules (and from different start models).
-            group = [pending for pending in due if pending.warm is warm]
-            stacks = range(0, len(group), train_batching)
-            self._adapt_pending([group[start : start + train_batching] for start in stacks], warm)
-        for pending in pendings:
-            with pending.state.lock:
+        """Decide, adapt and record one wave under all of its stream locks."""
+        states = {tid: self._stream_state(tid) for tid, _ in wave}
+        with ExitStack() as held:
+            for tid in sorted(states):
+                held.enter_context(states[tid].lock)
+            pendings = [self._decide_locked(tid, states[tid], batch) for tid, batch in wave]
+            due = [pending for pending in pendings if pending.due]
+            for warm in (False, True):
+                # Warm and cold rounds never share a stack: they train under
+                # different epoch schedules (and from different start models).
+                group = [pending for pending in due if pending.warm is warm]
+                stacks = range(0, len(group), train_batching)
+                self._adapt_pending(
+                    [group[start : start + train_batching] for start in stacks], warm
+                )
+            for pending in pendings:
                 events[pending.target_id] = self._record_event_locked(pending)
 
     # ------------------------------------------------------------------
@@ -473,11 +456,11 @@ class StreamingAdaptationService(AdaptationService):
     def _snapshot_stream_state(self, target_id: str) -> dict | None:
         """Capture a spilling target's drift state without risking deadlock.
 
-        The spiller may already hold a *different* target's stream lock (a
-        commit whose ``_store_result`` evicted this target), so this never
-        blocks on ``state.lock``: it try-acquires for a live capture and
-        falls back to the last committed capture when the target is mid-
-        ingest on another thread.
+        The spiller may already hold other targets' stream locks (a wave
+        whose commit evicted this target, or this target itself), so this
+        never blocks on ``state.lock``: it try-acquires for a live capture
+        and falls back to the last committed capture when the target is
+        mid-ingest, on another thread or in the spiller's own wave.
         """
         state = self._peek_state(target_id)
         if state is None:
@@ -586,9 +569,7 @@ class StreamingAdaptationService(AdaptationService):
         pending.round_index = state.n_cold + state.n_warm
         pending.seed = self.target_seed(f"{pending.target_id}#round{pending.round_index}")
 
-    def _adapt_pending(
-        self, groups: list[list[_PendingIngest]], warm: bool, locked: bool = False
-    ) -> None:
+    def _adapt_pending(self, groups: list[list[_PendingIngest]], warm: bool) -> None:
         """Run due (re-)adaptations, one task per group, and commit each success.
 
         The service's runner and settle step do the work and the accounting
@@ -598,8 +579,7 @@ class StreamingAdaptationService(AdaptationService):
         that per-job :class:`~repro.core.NoConfidentSamplesError` becomes
         ``adapt_failed`` with the buffer kept, so the next ingest retries
         once more confident data has arrived; any other error propagates.
-        ``locked`` says the caller already holds the stream lock of the
-        (single) pending target.
+        The caller holds every pending target's stream lock.
         """
         tasks = [
             [(p.target_id, p.inputs, p.seed, p.base_model) for p in group] for group in groups
@@ -611,7 +591,7 @@ class StreamingAdaptationService(AdaptationService):
                 task_results,
                 "warm" if warm else "cold",
                 publish=lambda index, report, outcome: self._commit_adaptation(
-                    group[index], report, outcome, locked  # noqa: B023 - runs in this iteration
+                    group[index], report, outcome  # noqa: B023 - runs in this iteration
                 ),
             )
             for pending, (_report, error) in zip(group, settled):
@@ -649,61 +629,57 @@ class StreamingAdaptationService(AdaptationService):
         pending: _PendingIngest,
         report: AdaptationReport,
         outcome: StrategyOutcome,
-        locked: bool,
     ) -> None:
         """Publish one finished (re-)adaptation: report, model, monitor, buffer.
 
-        Only the decision-time snapshot of the buffer is consumed: batches
-        ingested since (concurrently, on the stacked path) survive for the
-        next round.  Takes the target's stream lock unless ``locked``.
+        The caller holds the target's stream lock.  Only the decision-time
+        snapshot of the buffer is consumed.
         """
         target_id, state = pending.target_id, pending.state
-        with nullcontext() if locked else state.lock:
-            density_map = outcome.density_map
-            if density_map is None:
-                # The scheme does not estimate a label density map itself
-                # (any non-TASFAR strategy).  The drift monitor wants a
-                # reference map of "what the freshly adapted model
-                # believes", so estimate one by probing the adapted model on
-                # the adaptation window.
-                density_map = self._reference_density_map(
-                    target_id, pending.round_index, outcome.target_model, pending.inputs
-                )
-            report.extra["round"] = pending.round_index
-            report.extra["mode"] = "warm" if pending.warm else "cold"
-            report.extra["drift_reference"] = density_map is not None
-            self._store_result(target_id, report, outcome.target_model)
-            if density_map is None:
-                # The fine-tune itself succeeded — publish the model rather
-                # than throw the paid-for training away (TASFAR's equivalent
-                # failure aborts *before* training, which is why it is
-                # treated as ``adapt_failed`` instead).  Until a future
-                # adaptation yields a reference map, drift detection is
-                # unavailable for this target and re-adaptation is
-                # budget-triggered only.
-                state.monitor = None
-            elif state.monitor is None:
-                state.monitor = DensityDriftMonitor(
-                    density_map,
-                    DriftDetector(self.drift_threshold, self.drift_delta, self.drift_min_batches),
-                    window_decay=self.window_decay,
-                    warmup_events=self.drift_warmup_events,
-                    error_model=self._sigma_estimator.error_model,
-                )
-            else:
-                state.monitor.rebase(density_map)
-            del state.buffer[: pending.n_snapshot]
-            state.n_buffered = sum(len(batch) for batch in state.buffer)
-            if pending.warm:
-                state.n_warm += 1
-            else:
-                state.n_cold += 1
-            if self.snapshot_store is not None:
-                # Refresh the spill fallback while we legitimately hold the
-                # stream lock: a concurrent eviction that cannot take this
-                # lock spills this committed capture instead of skipping the
-                # target.
-                state.spill_cache = self._encode_stream_state(state)
+        density_map = outcome.density_map
+        if density_map is None:
+            # The scheme does not estimate a label density map itself
+            # (any non-TASFAR strategy).  The drift monitor wants a
+            # reference map of "what the freshly adapted model
+            # believes", so estimate one by probing the adapted model on
+            # the adaptation window.
+            density_map = self._reference_density_map(
+                target_id, pending.round_index, outcome.target_model, pending.inputs
+            )
+        report.extra["round"] = pending.round_index
+        report.extra["mode"] = "warm" if pending.warm else "cold"
+        report.extra["drift_reference"] = density_map is not None
+        self._store_result(target_id, report, outcome.target_model)
+        if density_map is None:
+            # The fine-tune itself succeeded — publish the model rather
+            # than throw the paid-for training away (TASFAR's equivalent
+            # failure aborts *before* training, which is why it is
+            # treated as ``adapt_failed`` instead).  Until a future
+            # adaptation yields a reference map, drift detection is
+            # unavailable for this target and re-adaptation is
+            # budget-triggered only.
+            state.monitor = None
+        elif state.monitor is None:
+            state.monitor = DensityDriftMonitor(
+                density_map,
+                DriftDetector(self.drift_threshold, self.drift_delta, self.drift_min_batches),
+                window_decay=self.window_decay,
+                warmup_events=self.drift_warmup_events,
+                error_model=self._sigma_estimator.error_model,
+            )
+        else:
+            state.monitor.rebase(density_map)
+        del state.buffer[: pending.n_snapshot]
+        state.n_buffered = sum(len(batch) for batch in state.buffer)
+        if pending.warm:
+            state.n_warm += 1
+        else:
+            state.n_cold += 1
+        if self.snapshot_store is not None:
+            # Refresh the spill fallback while the stream lock is held: an
+            # eviction that cannot take this lock spills this committed
+            # capture instead of skipping the target.
+            state.spill_cache = self._encode_stream_state(state)
 
     def _reference_density_map(
         self,

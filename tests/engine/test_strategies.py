@@ -224,7 +224,11 @@ class TestStrategyGenericService:
             f"user_{i}": np.random.default_rng(50 + i).normal(size=(24, 4))
             for i in range(3)
         }
-        reports = service.adapt_many(targets, jobs=2)
+        service.use_process_workers(2)
+        try:
+            reports = service.adapt_many(targets)
+        finally:
+            service.close()
         assert set(reports) == set(targets)
         for name, report in reports.items():
             assert report.scheme == scheme
@@ -247,8 +251,12 @@ class TestStrategyGenericService:
             return AdaptationService(source["model"], strategy=strategy)
 
         serial, parallel = build(), build()
-        serial_reports = serial.adapt_many(targets, jobs=1)
-        parallel_reports = parallel.adapt_many(targets, jobs=4)
+        serial_reports = serial.adapt_many(targets)
+        parallel.use_process_workers(4)
+        try:
+            parallel_reports = parallel.adapt_many(targets)
+        finally:
+            parallel.close()
         probe = np.random.default_rng(3).normal(size=(8, 4))
         for name in targets:
             assert serial_reports[name].losses == parallel_reports[name].losses

@@ -76,7 +76,7 @@ class TestExecutorSelection:
 
 @pytest.mark.parametrize("scheme", sorted(strategy_names()))
 class TestProcessBitIdentity:
-    """``adapt_many(jobs=4)`` on worker processes == serial, for all six schemes."""
+    """``adapt_many`` on a 4-process pool == serial, for all six schemes."""
 
     def test_process_pool_matches_serial_bitwise(self, scheme, source):
         model, calibration = source
@@ -85,12 +85,16 @@ class TestProcessBitIdentity:
         serial = AdaptationService(
             model, calibration, fast_config(), strategy=prepared_strategy(scheme, source)
         )
-        serial_reports = serial.adapt_many(targets, jobs=1)
+        serial_reports = serial.adapt_many(targets)
 
         pooled = AdaptationService(
             model, calibration, fast_config(), strategy=prepared_strategy(scheme, source)
         )
-        pooled_reports = pooled.adapt_many(targets, jobs=4)
+        pooled.use_process_workers(4)
+        try:
+            pooled_reports = pooled.adapt_many(targets)
+        finally:
+            pooled.close()
 
         assert list(serial_reports) == list(pooled_reports)
         probe = np.random.default_rng(0).normal(size=(16, 4))

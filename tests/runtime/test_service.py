@@ -60,9 +60,13 @@ class TestParallelEqualsSerial:
     def test_parallel_adapt_matches_serial_bitwise(self, source):
         targets = make_targets(n_targets=5)
         serial = build_service(source)
-        serial_reports = serial.adapt_many(targets, jobs=1)
+        serial_reports = serial.adapt_many(targets)
         parallel = build_service(source)
-        parallel_reports = parallel.adapt_many(targets, jobs=4)  # worker processes
+        parallel.use_process_workers(4)
+        try:
+            parallel_reports = parallel.adapt_many(targets)
+        finally:
+            parallel.close()
 
         assert list(serial_reports) == list(parallel_reports)
         probe = np.random.default_rng(0).normal(size=(16, 4))
@@ -201,13 +205,17 @@ class TestInputs:
         service = build_service(source)
         targets = make_targets(n_targets=3)
         pairs = list(targets.items())[::-1]
-        reports = service.adapt_many(pairs, jobs=2)
+        service.use_process_workers(2)
+        try:
+            reports = service.adapt_many(pairs)
+        finally:
+            service.close()
         assert list(reports) == [name for name, _ in pairs]
 
-    def test_invalid_jobs_rejected(self, source):
+    def test_invalid_worker_count_rejected(self, source):
         service = build_service(source)
         with pytest.raises(ValueError):
-            service.adapt_many(make_targets(n_targets=1), jobs=0)
+            service.use_process_workers(0)
 
     def test_source_model_not_mutated_by_adapt(self, source):
         model, _ = source
@@ -246,9 +254,13 @@ class TestTargetIdCoercion:
     def test_adapt_many_keys_are_canonical(self, source):
         service = build_service(source)
         data = make_targets(n_targets=1)["user_00"]
-        reports = service.adapt_many([(7, data)], jobs=1)
+        reports = service.adapt_many([(7, data)])
         assert list(reports) == ["7"]
-        reports = service.adapt_many([(8, data), (9, data)], jobs=2)
+        service.use_process_workers(2)
+        try:
+            reports = service.adapt_many([(8, data), (9, data)])
+        finally:
+            service.close()
         assert list(reports) == ["8", "9"]
 
     def test_strict_errors_name_the_canonical_id(self, source):
@@ -305,16 +317,20 @@ class TestConcurrentEvictionRaces:
                 except Exception as exc:  # pragma: no cover - the failure mode
                     errors.append(exc)
 
+        # Spawned before the reader threads start: no fork of a threaded
+        # process.
+        service.use_process_workers(4)
         readers = [threading.Thread(target=hammer) for _ in range(3)]
         for reader in readers:
             reader.start()
         try:
             for _ in range(2):
-                service.adapt_many(fleet, jobs=4)
+                service.adapt_many(fleet)
         finally:
             done.set()
             for reader in readers:
                 reader.join()
+            service.close()
         assert not errors, errors
         # Every target kept its report; only max_cached models survive.
         assert service.n_adapted == len(fleet)

@@ -33,7 +33,7 @@ class TestCacheAccounting:
         service = build_service(source, max_cached_models=2)
         targets = make_targets(n_targets=4)
         names = list(targets)
-        service.adapt_many(targets)  # serial: jobs=1
+        service.adapt_many(targets)  # serial: no worker pool
         probe = probe_inputs()
         for name in names:  # two evicted -> source fallback, two cached
             service.predict(name, probe)
@@ -91,17 +91,19 @@ class TestCacheAccounting:
         predictors = [
             threading.Thread(target=hammer, args=(slot,)) for slot in range(n_predictors)
         ]
+        if executor == "process":
+            # Spawned before the predictor threads start: no fork of a
+            # threaded process.
+            service.use_process_workers(2)
         for thread in predictors:
             thread.start()
         try:
-            if executor == "thread":
-                reports = service.adapt_many(targets)  # in the calling thread
-            else:
-                reports = service.adapt_many(targets, jobs=2)  # worker processes
+            reports = service.adapt_many(targets)
         finally:
             stop.set()
             for thread in predictors:
                 thread.join()
+            service.close()
         assert not errors
         assert len(reports) == n_targets
 
@@ -126,10 +128,12 @@ class TestEngineAccounting:
     def test_epochs_match_report_losses(self, source, executor):
         service = build_service(source)
         targets = make_targets(n_targets=3)
-        if executor == "thread":
-            reports = service.adapt_many(targets)  # serial in-process path
-        else:
-            reports = service.adapt_many(targets, jobs=2)
+        if executor == "process":
+            service.use_process_workers(2)
+        try:
+            reports = service.adapt_many(targets)
+        finally:
+            service.close()
         expected_epochs = sum(len(report.losses) for report in reports.values())
         assert service.metrics.counter_total("engine.epochs") == expected_epochs
         assert service.metrics.counter_total("engine.runs") == len(targets)

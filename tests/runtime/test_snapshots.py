@@ -189,11 +189,12 @@ class TestExecutorAndBatchingEquivalence:
     def test_process_executor_spill_resume_matches_serial(self, source, tmp_path):
         targets = make_targets(n_targets=3)
         serial = build_service(source)
-        serial.adapt_many(targets, jobs=1)
+        serial.adapt_many(targets)
 
         tiered = build_service(source, snapshot_store=SnapshotStore(tmp_path))
+        tiered.use_process_workers(2)
         try:
-            tiered.adapt_many(targets, jobs=2)
+            tiered.adapt_many(targets)
         finally:
             tiered.close()
         tiered.evict()
@@ -208,7 +209,7 @@ class TestExecutorAndBatchingEquivalence:
         rng = np.random.default_rng(31)
         targets = {f"t{k}": rng.normal(loc=0.2 * k, size=(40, 4)) for k in range(3)}
         serial = build_service(source)
-        serial.adapt_many(targets, jobs=1)
+        serial.adapt_many(targets)
 
         tiered = build_service(source, snapshot_store=SnapshotStore(tmp_path))
         tiered.adapt_many(targets, train_batching=3)

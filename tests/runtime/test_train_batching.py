@@ -35,10 +35,12 @@ def targets():
     return data
 
 
-def run_service(fixture, targets, train_batching=1, jobs=1):
+def run_service(fixture, targets, train_batching=1, workers=0):
     service = AdaptationService(fixture["model"], fixture["calibration"], config=fast_config())
+    if workers:
+        service.use_process_workers(workers)
     try:
-        reports = service.adapt_many(targets, jobs=jobs, train_batching=train_batching)
+        reports = service.adapt_many(targets, train_batching=train_batching)
         models = {tid: parameter_bytes(service.model_for(tid)) for tid in targets}
     finally:
         service.close()
@@ -62,7 +64,7 @@ def test_adapt_many_stacked_identical_to_serial(fixture, targets, serial, train_
 
 
 def test_adapt_many_stacked_on_process_pool_identical(fixture, targets, serial):
-    reports, models = run_service(fixture, targets, train_batching=3, jobs=2)
+    reports, models = run_service(fixture, targets, train_batching=3, workers=2)
     assert reports == serial[0]
     assert models == serial[1]
 

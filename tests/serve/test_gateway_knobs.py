@@ -12,7 +12,9 @@ predict burst, and every envelope (durations and shard placement scrubbed)
 and every adapted model's parameter bytes must equal the all-defaults run.
 One dispatch thread per shard keeps each shard's LRU order — and so which
 targets spill — a function of the burst order alone.  The all-non-default
-combination is also replayed over TCP against an in-process run.
+combination is also replayed over TCP against an in-process run, and a lone
+adapt or stream request sent through ``submit_async`` must answer exactly as
+it does inside its burst, under both executors and both stack sizes.
 """
 
 import itertools
@@ -133,6 +135,46 @@ def test_knob_combination_matches_defaults(
     if snapshots:
         # The small cache really thrashes: models spill and resume.
         assert tiering["snapshots.spilled"] > 0 and tiering["snapshots.resumed"] > 0
+
+
+LONE_CASES = list(itertools.product(("thread", "process"), (1, 3)))
+
+
+@pytest.mark.parametrize(
+    "executor,train_batching",
+    LONE_CASES,
+    ids=[f"{executor}-tb{tb}" for executor, tb in LONE_CASES],
+)
+def test_lone_mutators_match_their_burst_answers(
+    fixture, traffic, defaults, executor, train_batching
+):
+    """``submit_async`` of a lone adapt or stream request answers as in a burst."""
+    gateway = Gateway(
+        fixture["model"],
+        fixture["calibration"],
+        config=fast_config(),
+        shard_workers=1,
+        executor=executor,
+        train_batching=train_batching,
+        service_options={"min_adapt_events": 12, "readapt_budget": 12},
+        max_cached_models=FLEET,
+    )
+    try:
+        bursts = [[AdaptRequest(tid, data) for tid, data in traffic["adapt"].items()]]
+        for batches in traffic["stream"]:
+            bursts.append([StreamRequest(tid, batch) for tid, batch in batches.items()])
+        keys = [
+            [envelope_key(gateway.submit_async(request).result(timeout=60)) for request in burst]
+            for burst in bursts
+        ]
+        weights = {
+            tid: parameter_bytes(gateway.model_for(tid)) for tid in ADAPT_IDS + STREAM_IDS
+        }
+    finally:
+        gateway.close()
+    default_keys, default_weights = defaults
+    assert keys == default_keys[: len(bursts)]
+    assert weights == default_weights
 
 
 def test_all_non_default_knobs_replay_over_tcp():
