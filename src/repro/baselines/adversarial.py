@@ -19,6 +19,7 @@ from ..nn.container import Sequential
 from ..nn.gradient_reversal import GradientReversal
 from ..nn.linear import Linear
 from ..nn.losses import MSELoss
+from ..nn.models import RegressionModel
 from ..nn.stacked import PerReplicaLoss, StackedAdam, stack_modules, unstack_modules
 
 __all__ = ["AdversarialUda", "logistic_loss"]
@@ -37,6 +38,11 @@ def logistic_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     )
     grad = (probabilities - labels)[:, None] / len(logits)
     return value, grad
+
+
+def _feature_width(model: RegressionModel) -> int:
+    """Width of ``model``'s encoder features: its head's first ``Linear`` input."""
+    return next(m for m in model.head.modules() if isinstance(m, Linear)).in_features
 
 
 class AdversarialUda(BaselineStrategy):
@@ -79,9 +85,11 @@ class AdversarialUda(BaselineStrategy):
         rngs = [np.random.default_rng(job.seed) for job in jobs]
         models = [copy.deepcopy(job.model) for job in jobs]
         # One discriminator per replica (its own seed stream), stacked
-        # alongside the models; the gradient-reversal scale is uniform.
+        # alongside the models; the gradient-reversal scale is uniform.  The
+        # feature width is read from the model's structure: a forward probe
+        # would draw from a train-mode model's dropout generators.
         discriminators = [
-            self._build_discriminator(model.features(source_data.inputs[:2]).shape[1], job.seed)
+            self._build_discriminator(_feature_width(model), job.seed)
             for job, model in zip(jobs, models)
         ]
         stacked = stack_modules(models)

@@ -16,16 +16,19 @@ interrupted run can pick up where it left off::
     python -m repro.cli run-all --scale small --jobs 4 \
         --results-dir results --resume --output results.txt
 
-Adapt every target scenario of a task through the multi-target
-:class:`~repro.runtime.AdaptationService` (four worker threads, JSON report)::
+Adapt every target scenario of a task through the serving gateway, on four
+worker processes (JSON report).  ``--jobs`` counts worker processes per shard
+under ``--executor process``; under the default ``--executor thread`` a
+burst's adaptations run on one dispatch thread per shard, and ``--jobs``
+only adds threads for concurrent submissions::
 
-    python -m repro.cli adapt-many --task pdr --scale small --jobs 4 \
-        --report adaptation_reports.json
+    python -m repro.cli adapt-many --task pdr --scale small --executor process \
+        --jobs 4 --report adaptation_reports.json
 
 Serve any scheme from the strategy registry — not just TASFAR — through the
-same service::
+same gateway::
 
-    python -m repro.cli adapt-many --task housing --scheme mmd --jobs 4
+    python -m repro.cli adapt-many --task housing --scheme mmd
 
 Replay a suddenly drifting stream for every PDR user through the streaming
 service (online density maps, drift detection, warm re-adaptation)::
@@ -75,6 +78,14 @@ from .experiments import SCALES, list_experiments, run_experiment
 
 __all__ = ["main", "build_parser"]
 
+#: What the per-shard worker count means: a burst's adaptations (and its
+#: predictions) are one dispatch task per shard.
+SHARD_WORKERS_HELP = (
+    "worker processes per gateway shard under --executor process; otherwise "
+    "dispatch threads per shard, which only serve concurrent submissions "
+    "(separate connections, submit_async): a burst adapts on one thread per shard"
+)
+
 
 def _gateway_flags(
     adapt_tasks: tuple[str, ...], schemes: tuple[str, ...]
@@ -110,8 +121,8 @@ def _gateway_flags(
         metavar="K",
         help=(
             "stack up to K concurrent adaptations into one batched training "
-            "pass per shard (bit-identical to serial; requires a scheme and "
-            "model with a stacked training path, rejected otherwise)"
+            "pass per shard (bit-identical to serial; K > 1 requires a "
+            "stackable model, rejected otherwise)"
         ),
     )
     flags.add_argument(
@@ -184,9 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[gateway_flags],
         help="adapt every target scenario of a task through the AdaptationService",
     )
-    adapt_parser.add_argument(
-        "--jobs", type=int, default=1, help="workers per gateway shard"
-    )
+    adapt_parser.add_argument("--jobs", type=int, default=1, help=SHARD_WORKERS_HELP)
     adapt_parser.add_argument(
         "--targets",
         nargs="+",
@@ -245,9 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.10,
         help="Page-Hinkley alarm threshold on the density divergence",
     )
-    stream_parser.add_argument(
-        "--jobs", type=int, default=1, help="workers per gateway shard"
-    )
+    stream_parser.add_argument("--jobs", type=int, default=1, help=SHARD_WORKERS_HELP)
     stream_parser.add_argument(
         "--targets",
         nargs="+",
@@ -272,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve adapt/predict/stream/report/metrics requests as JSON lines (stdin -> stdout)",
     )
     serve_parser.add_argument(
-        "--shard-workers", type=int, default=4, help="workers per shard"
+        "--shard-workers", type=int, default=4, help=SHARD_WORKERS_HELP
     )
     serve_parser.add_argument(
         "--max-cached",

@@ -1,20 +1,21 @@
-"""One ``adapt()`` surface for every adaptation scheme.
+"""One adaptation call for every adaptation scheme.
 
 An :class:`AdaptationStrategy` is the one dialect every scheme speaks, for
 the runtime services, the CLI and the experiment harness alike:
 :class:`TasfarStrategy` wraps :class:`~repro.core.Tasfar`, and the five
 comparison schemes in :mod:`repro.baselines` subclass
-:class:`BaselineStrategy`.
+:class:`BaselineStrategy`.  A scheme implements two methods:
 
 * :meth:`AdaptationStrategy.prepare` runs once, source-side, before
   deployment, and absorbs whatever the scheme ships to the target — TASFAR's
   calibration (``Q_s`` and ``tau``), Datafree's feature statistics, or the
   labelled source dataset for the source-based schemes;
-* :meth:`AdaptationStrategy.adapt` runs at the target with unlabeled data
-  and returns a :class:`StrategyOutcome` — including warm-start support
-  (``base_model`` + ``warm_epochs``), so the streaming service can
-  re-adapt *any* scheme from its previously adapted model with a shorter
-  schedule, not just TASFAR.
+* ``adapt_stacked`` runs at the target with unlabeled data, for a list of
+  :class:`StackJob` (a lone target is a list of one): the one call through
+  which the runtime adapts.  A job may start from a previously adapted
+  model, so the streaming service warm-starts *any* scheme.
+
+:meth:`AdaptationStrategy.adapt` is the one-job call of ``adapt_stacked``.
 
 Strategies are looked up by scheme name through :mod:`repro.engine.registry`.
 """
@@ -76,12 +77,12 @@ class StrategyOutcome:
 
 @dataclass
 class StackJob:
-    """One target's slot in a stacked (``train_batching > 1``) adaptation call.
+    """One target's slot in an ``adapt_stacked`` call.
 
     ``model`` is the start model for this target — the source model, or a
     previously adapted model for warm starts.  Jobs may share one instance,
     and it may be serving on other threads: the scheme probes and trains a
-    clone of it, exactly as :meth:`adapt` would, and never mutates it.
+    clone of it and never mutates it.
     """
 
     model: RegressionModel
@@ -91,32 +92,21 @@ class StackJob:
 
 
 class AdaptationStrategy:
-    """Interface every adaptation scheme exposes to the runtime layers."""
+    """Interface every adaptation scheme exposes to the runtime layers.
+
+    A scheme implements :meth:`prepare` and
+    ``adapt_stacked(jobs: list[StackJob], *, warm_epochs=None)``, which
+    returns one ``(outcome, error)`` pair per job, in input order.  Jobs
+    that cannot share a stack (different dataset lengths, say) go to
+    separate groups, never padded (``nn/stacked.py``), so each outcome is
+    **bit-identical** whatever jobs it came with.  A job's failure is its
+    error; one that concerns the whole call (an unprepared scheme) may be
+    raised.  ``warm_epochs`` shortens the schedule for warm starts.
+    """
 
     name: str = "strategy"
     #: whether :meth:`prepare` needs the labelled source dataset
     requires_source_data: bool = False
-
-    @property
-    def supports_stacked(self) -> bool:
-        """Whether :meth:`adapt_stacked` can batch compatible targets."""
-        return False
-
-    def adapt_stacked(
-        self, jobs: list[StackJob], *, warm_epochs: int | None = None
-    ) -> list[tuple[StrategyOutcome | None, Exception | None]]:
-        """Adapt many targets at once, stacking compatible jobs.
-
-        Returns one ``(outcome, error)`` pair per job, in input order, with
-        each successful outcome **bit-identical** to what :meth:`adapt`
-        would have produced for that target alone.  Jobs that cannot share
-        a stack (different dataset lengths, say) go to separate groups (a
-        group of one is a one-replica stack) — never padded, per the bit-identity argument in
-        ``nn/stacked.py``.
-        """
-        raise NotImplementedError(
-            f"scheme {self.name!r} has no stacked adaptation path"
-        )
 
     @property
     def default_epochs(self) -> int | None:
@@ -146,7 +136,7 @@ class AdaptationStrategy:
         base_model: RegressionModel | None = None,
         warm_epochs: int | None = None,
     ) -> StrategyOutcome:
-        """Adapt to one target domain using unlabeled ``target_inputs``.
+        """Adapt to one target domain: the one-job call of ``adapt_stacked``.
 
         Parameters
         ----------
@@ -161,12 +151,19 @@ class AdaptationStrategy:
         warm_epochs:
             Shorter fine-tuning schedule for warm starts; ``None`` keeps the
             scheme's full schedule.
+
+        Raises the job's error, if it failed.
         """
-        raise NotImplementedError
+        start_model = base_model if base_model is not None else source_model
+        job = StackJob(model=start_model, inputs=target_inputs, seed=seed)
+        [(outcome, error)] = self.adapt_stacked([job], warm_epochs=warm_epochs)
+        if error is not None:
+            raise error
+        return outcome
 
 
 class TasfarStrategy(AdaptationStrategy):
-    """TASFAR behind the strategy surface."""
+    """TASFAR behind the strategy surface; uncalibrated, ``adapt_stacked`` raises."""
 
     name = "tasfar"
     requires_source_data = False
@@ -208,25 +205,6 @@ class TasfarStrategy(AdaptationStrategy):
             min_adaptation_epochs=min(self.config.min_adaptation_epochs, int(warm_epochs)),
         )
 
-    def adapt(
-        self,
-        source_model,
-        target_inputs,
-        *,
-        seed=None,
-        base_model=None,
-        warm_epochs=None,
-    ) -> StrategyOutcome:
-        if self.calibration is None:
-            raise ValueError(
-                "TasfarStrategy has no calibration: call prepare() (or construct with "
-                "calibration=...) before adapting"
-            )
-        model = base_model if base_model is not None else source_model
-        tasfar = Tasfar(self._config_for(warm_epochs), loss=self.loss)
-        result = tasfar.adapt(model, target_inputs, self.calibration, seed=seed)
-        return self._outcome_from(result)
-
     def _outcome_from(self, result: AdaptationResult) -> StrategyOutcome:
         return StrategyOutcome(
             target_model=result.target_model,
@@ -242,10 +220,6 @@ class TasfarStrategy(AdaptationStrategy):
                 "stopped_epoch": result.stopped_epoch,
             },
         )
-
-    @property
-    def supports_stacked(self) -> bool:
-        return True
 
     def adapt_stacked(
         self, jobs: list[StackJob], *, warm_epochs: int | None = None
@@ -269,10 +243,11 @@ class BaselineStrategy(AdaptationStrategy):
     """Base of the five comparison schemes (Baseline, MMD, ADV, AUGfree, Datafree).
 
     A subclass holds its hyperparameters (``epochs``, ``seed``, ...) and
-    writes its fine-tune once, as ``_adapt_stack(jobs, epochs)`` over a list
-    of :class:`StackJob` whose seeds are resolved; :meth:`adapt` is the
-    one-job call of :meth:`adapt_stacked`.  Nothing per call is stored on the
-    instance, so one prepared strategy is safe to drive from a worker pool.
+    writes its fine-tune once, as ``_adapt_stack(jobs, epochs)`` over one
+    group of compatible :class:`StackJob` whose seeds are resolved;
+    ``adapt_stacked`` groups the jobs and calls it once per group.  Nothing
+    per call is stored on the instance, so one prepared strategy is safe to
+    drive from a worker pool.
 
     Grouping follows the bit-identity argument in ``nn/stacked.py``: a stack
     never pads, so jobs share one only when their dataset lengths agree (for
@@ -292,10 +267,6 @@ class BaselineStrategy(AdaptationStrategy):
     def default_epochs(self) -> int | None:
         return None if self.epochs is None else int(self.epochs)
 
-    @property
-    def supports_stacked(self) -> bool:
-        return True
-
     def prepare(self, source_model, resources: SourceResources) -> "BaselineStrategy":
         if self.requires_source_data:
             if resources.source_data is None:
@@ -304,22 +275,6 @@ class BaselineStrategy(AdaptationStrategy):
                 )
             self._source_data = resources.source_data
         return self
-
-    def adapt(
-        self,
-        source_model,
-        target_inputs,
-        *,
-        seed=None,
-        base_model=None,
-        warm_epochs=None,
-    ) -> StrategyOutcome:
-        start_model = base_model if base_model is not None else source_model
-        job = StackJob(model=start_model, inputs=target_inputs, seed=seed)
-        [(outcome, error)] = self.adapt_stacked([job], warm_epochs=warm_epochs)
-        if error is not None:
-            raise error
-        return outcome
 
     def adapt_stacked(
         self, jobs: list[StackJob], *, warm_epochs: int | None = None

@@ -279,8 +279,8 @@ class AdaptationService:
         """Run adaptation tasks; yield each task's per-job results, in input order.
 
         A task is a list of ``(target_id, inputs, seed, base_model)`` jobs
-        run by :func:`~repro.runtime.workers.run_task`: one seeded
-        ``strategy.adapt`` for a single job, one stacked fine-tune for more.
+        run by :func:`~repro.runtime.workers.run_task` as one seeded
+        ``strategy.adapt_stacked`` call, whatever its length.
         This is the one place that decides *where* adaptations run — on the
         attached process pool when there is one (every task is submitted up
         front, then results are collected in order), otherwise in the calling
@@ -483,22 +483,22 @@ class AdaptationService:
     def check_train_batching(self, train_batching: int) -> int:
         """Validate a ``train_batching`` knob against the scheme and model.
 
-        Stacked training is an opt-in with hard requirements — the scheme
-        must expose a stacked adaptation path and the model tree must be
-        stackable — so an incompatible combination is a loud ``ValueError``
-        at the entry point, never a silent serial fallback.
+        At every stack size the scheme must have a callable
+        ``adapt_stacked``: it is the one call through which the service
+        adapts.  Above one, the model tree must also be stackable.  An
+        incompatible combination is a loud ``ValueError`` at the entry
+        point, never a silent fallback.
         """
         train_batching = int(train_batching)
         if train_batching < 1:
             raise ValueError("train_batching must be at least 1")
+        if not callable(getattr(self.strategy, "adapt_stacked", None)):
+            raise ValueError(
+                f"scheme {self.strategy.name!r} has no adapt_stacked, the one "
+                "call every adaptation goes through"
+            )
         if train_batching == 1:
             return 1
-        if not getattr(self.strategy, "supports_stacked", False):
-            raise ValueError(
-                f"train_batching={train_batching} is not supported by scheme "
-                f"{self.strategy.name!r}: it has no stacked adaptation path; "
-                "use train_batching=1 for this scheme"
-            )
         try:
             assert_stackable(self._source_model)
         except StackingError as exc:
@@ -517,16 +517,17 @@ class AdaptationService:
         ``entries`` are ``(target_id, inputs, seed)`` with ``seed=None``
         meaning the usual :meth:`target_seed`.  They are chunked into stacks
         of up to ``train_batching`` targets, each stack one task (one
-        stacked fine-tune, or one ``strategy.adapt`` for a stack of one),
-        and every stack goes to the runner in one call, so an attached
+        ``strategy.adapt_stacked`` call, a stack of one included), and
+        every stack goes to the runner in one call, so an attached
         process pool gets them all at once.  Each job's scheme adapts its
         own copy of the source model, so results are bit-identical whatever
         the stack size.  Successes are stored; failures are returned as data,
         one ``(report, error)`` per entry in input order, for the caller's
         error policy (the serving gateway answers them as error envelopes,
         :meth:`adapt` and :meth:`adapt_many` raise the first).  Raises
-        :class:`ValueError` when ``train_batching > 1`` and the scheme or
-        model cannot stack — no silent fallback.
+        :class:`ValueError` when the scheme has no ``adapt_stacked``, or
+        when ``train_batching > 1`` and the model cannot stack — no silent
+        fallback (:meth:`check_train_batching`).
         """
         size = self.check_train_batching(train_batching)
         jobs = [

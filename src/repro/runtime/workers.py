@@ -116,36 +116,26 @@ def run_task(
 ) -> list[JobResult]:
     """Run one adaptation task and return one result per job, in input order.
 
-    A one-job task is one seeded ``strategy.adapt`` call; a longer task is
-    one ``strategy.adapt_stacked`` call (``train_batching``), so schemes and
-    models without a stacked path only ever see the serial call.  Start
-    models are passed as they are: every scheme trains, and TASFAR probes,
-    a private copy, so the source model and a warm base model may keep
-    serving on other threads meanwhile.  Per-job failures come back as data,
-    so one bad target does not poison its stack-mates.  The jobs of a task
-    share one wall clock, which every report carries as its duration.
+    Every task, of one job or of a stack of ``train_batching``, is one
+    seeded ``strategy.adapt_stacked`` call.  Start models are passed as they
+    are: every scheme trains, and TASFAR probes, a private copy, so the
+    source model and a warm base model may keep serving on other threads
+    meanwhile.  Failures come back as data: a job's own error, so one bad
+    target does not poison its stack-mates, or, when the call raises as a
+    whole (an unprepared scheme), that error for every job of the task.
+    The jobs of a task share one wall clock, which every report carries as
+    its duration.
     """
     watch = Stopwatch()
+    jobs = [
+        StackJob(source_model if base is None else base, inputs, seed, target_id)
+        for target_id, inputs, seed, base in task
+    ]
     with use_metrics(metrics):
-        if len(task) == 1:
-            [(_target_id, inputs, seed, base_model)] = task
-            try:
-                outcome = strategy.adapt(
-                    source_model,
-                    inputs,
-                    seed=seed,
-                    base_model=base_model,
-                    warm_epochs=warm_epochs,
-                )
-                pairs = [(outcome, None)]
-            except Exception as exc:  # noqa: BLE001 - attributed to the job
-                pairs = [(None, exc)]
-        else:
-            jobs = [
-                StackJob(source_model if base is None else base, inputs, seed, target_id)
-                for target_id, inputs, seed, base in task
-            ]
+        try:
             pairs = strategy.adapt_stacked(jobs, warm_epochs=warm_epochs)
+        except Exception as exc:  # noqa: BLE001 - attributed to every job
+            pairs = [(None, exc)] * len(task)
     duration = watch.elapsed()
     return [
         (None, None, error)
@@ -372,10 +362,10 @@ class AdaptationWorkerPool:
     def submit_stacked(self, stack: list[Job], warm_epochs: int | None = None) -> Future:
         """Queue one task of ``(target_id, inputs, seed, base_model)`` jobs.
 
-        Resolve it with :meth:`collect_stacked`.  A one-job task is one
-        ``strategy.adapt`` call; a multi-job task is one stacked
-        (``train_batching``) fine-tune inside the worker — batching *within*
-        a worker composes with processes *across* workers.
+        Resolve it with :meth:`collect_stacked`.  The task is one
+        ``strategy.adapt_stacked`` call inside the worker (:func:`run_task`),
+        a stack of one or of up to ``train_batching`` jobs — batching
+        *within* a worker composes with processes *across* workers.
         """
         with self._lock:
             if self._closed or self._pool is None:

@@ -41,8 +41,6 @@ from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from ..core.adapter import SourceCalibration
 from ..core.config import TasfarConfig
 from ..engine.strategy import AdaptationStrategy
@@ -279,15 +277,16 @@ class Gateway:
     train_batching:
         Stack size for cross-target batched *training*.  :meth:`submit_many`
         groups a burst's :class:`~repro.serve.AdaptRequest`\\ s per shard
-        and trains them as stacked fine-tunes of up to K targets (``K = 1``:
-        stacks of one, each a plain ``strategy.adapt``); grouped
+        and trains them as stacks of up to K targets, each one
+        ``strategy.adapt_stacked`` call (``K = 1``: stacks of one); grouped
         :class:`~repro.serve.StreamRequest`\\ s go through the streaming
         service's ``ingest_many``, whose due adaptations stack the same way.
         Results are bit-identical whatever K.  Composes with
         ``executor="process"``: each stack is one worker task, and a burst's
-        stacks reach the pool together.  Validated against the scheme and
-        model at construction — incompatible combinations raise
-        :class:`ValueError`, never fall back silently.
+        stacks reach the pool together.  Validated against the scheme (at
+        every K, since ``adapt_stacked`` is the one adaptation call) and
+        the model (for K > 1) at construction — incompatible combinations
+        raise :class:`ValueError`, never fall back silently.
     service_options:
         Extra keyword arguments forwarded to every shard service
         constructor (e.g. ``min_adapt_events`` / ``readapt_budget`` for the
@@ -958,10 +957,6 @@ class Gateway:
     # ------------------------------------------------------------------
     # Fleet-level conveniences (thin wrappers over the shard services)
     # ------------------------------------------------------------------
-    def adapt(self, target_id: str, inputs: np.ndarray, seed: int | None = None):
-        """Adapt one target on its shard; returns the report (raises on error)."""
-        return self.service_for(target_id).adapt(target_id, inputs, seed=seed)
-
     def model_for(self, target_id: str, required: bool = False):
         """The cached adapted model for ``target_id`` from its shard."""
         return self.service_for(target_id).model_for(target_id, required=required)

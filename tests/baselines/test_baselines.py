@@ -1,5 +1,7 @@
 """Tests for the UDA baseline schemes, driven through the strategy registry."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,15 @@ class TestAdversarialUda:
         outcome = strategy.adapt(setup["model"], setup["target"])
         assert len(outcome.losses) == 2
         assert outcome.diagnostics["adversarial_weight"] == strategy.adversarial_weight
+
+    def test_adapt_draws_nothing_from_start_model_dropout(self, setup):
+        # The discriminator's width comes from the model's structure, not a
+        # forward probe, which would draw masks from a train-mode model.
+        start = copy.deepcopy(setup["model"]).train()
+        before = [layer.rng.bit_generator.state for layer in start.dropout_layers()]
+        outcome = prepared("adv", setup, epochs=1, seed=0).adapt(start, setup["target"])
+        after = [layer.rng.bit_generator.state for layer in outcome.target_model.dropout_layers()]
+        assert before and after == before
 
 
 class TestDataFree:

@@ -59,7 +59,6 @@ def assert_outcome_identical(outcome, error, expected, context):
 def test_strategy_stacked_bit_identical_and_order_independent(scheme, fixture, targets):
     model = fixture["model"]
     strategy = make_strategy(scheme, fixture)
-    assert strategy.supports_stacked
 
     serial = [
         strategy.adapt(copy.deepcopy(model), targets[k], seed=SEEDS[k])

@@ -81,7 +81,6 @@ class TestRegistry:
         for name in SCHEME_NAMES:
             strategy = create_strategy(name)
             assert isinstance(strategy, BaselineStrategy) == (name != "tasfar")
-            assert strategy.supports_stacked
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown adaptation scheme"):
@@ -98,14 +97,13 @@ class TestRegistry:
         class EchoStrategy(AdaptationStrategy):
             name = "echo"
 
-            def adapt(self, source_model, target_inputs, *, seed=None,
-                      base_model=None, warm_epochs=None):
+            def adapt_stacked(self, jobs, *, warm_epochs=None):
                 import copy
 
-                return StrategyOutcome(
-                    target_model=copy.deepcopy(base_model or source_model),
-                    scheme=self.name,
-                )
+                return [
+                    (StrategyOutcome(target_model=copy.deepcopy(job.model), scheme=self.name), None)
+                    for job in jobs
+                ]
 
         register_strategy("echo", EchoStrategy)
         try:

@@ -3,8 +3,9 @@
 The knob must be a pure throughput lever: any stacking factor — including
 one that exceeds the target count, and stacking layered on the process
 executor — produces the exact reports and model bytes of the serial run.
-Incompatible combinations (nonsensical factors, schemes or models without
-a stacked path) are rejected up front with a clear error.
+Incompatible combinations (nonsensical factors, schemes without
+``adapt_stacked``, models that cannot stack) are rejected up front with a
+clear error; a scheme error that concerns a whole task comes back as data.
 """
 
 import copy
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from engine.scheme_oracle_fixture import build_fixture, fast_config
 
+from repro.engine import TasfarStrategy
 from repro.nn import BatchNorm1d, parameter_bytes
 from repro.nn.module import Module
 from repro.runtime.service import AdaptationService
@@ -76,6 +78,28 @@ def test_adapt_many_rejects_nonpositive_train_batching(fixture, targets):
             service.adapt_many(targets, train_batching=0)
     finally:
         service.close()
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["in-process", "process-pool"])
+@pytest.mark.parametrize("train_batching", [1, 3])
+def test_whole_call_scheme_error_is_data_at_every_stack_size(
+    fixture, targets, train_batching, workers
+):
+    # With no calibration, TASFAR's adapt_stacked raises for the whole call;
+    # every task's raise becomes its jobs' error, whatever the stack size.
+    service = AdaptationService(fixture["model"], strategy=TasfarStrategy(fast_config()))
+    if workers:
+        service.use_process_workers(workers)
+    try:
+        entries = [(tid, targets[tid], None) for tid in ("t0", "t1", "t2")]
+        settled = service.adapt_stack(entries, train_batching)
+    finally:
+        service.close()
+    assert len(settled) == 3
+    for report, error in settled:
+        assert report is None
+        assert isinstance(error, ValueError)
+        assert "no calibration" in str(error)
 
 
 def test_unstackable_scheme_rejected(fixture):
