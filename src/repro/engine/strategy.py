@@ -82,10 +82,13 @@ class StackJob:
     ``model`` is the start model for this target — the source model, or a
     previously adapted model for warm starts.  Jobs may share one instance,
     and it may be serving on other threads: the scheme probes and trains a
-    clone of it and never mutates it.
+    clone of it and never mutates it.  The runtime also queues jobs with
+    ``model=None``, meaning the runner's source model, which
+    :func:`~repro.runtime.workers.run_task` fills in before the scheme sees
+    the job, so a cold job crosses a process boundary without weights.
     """
 
-    model: RegressionModel
+    model: RegressionModel | None
     inputs: np.ndarray
     seed: int | None = None
     target_id: str | None = None

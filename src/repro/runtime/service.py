@@ -40,7 +40,7 @@ import numpy as np
 
 from ..core.adapter import SourceCalibration
 from ..core.config import TasfarConfig
-from ..engine.strategy import AdaptationStrategy, StrategyOutcome, TasfarStrategy
+from ..engine.strategy import AdaptationStrategy, StackJob, StrategyOutcome, TasfarStrategy
 from ..nn.losses import Loss
 from ..nn.models import RegressionModel
 from ..nn.stacked import StackingError, assert_stackable
@@ -53,7 +53,7 @@ from .snapshots import (
     encode_model_weights,
     restore_model_weights,
 )
-from .workers import AdaptationWorkerPool, Job, JobResult, WorkerCrashError, run_task
+from .workers import AdaptationWorkerPool, JobResult, WorkerCrashError, run_task
 
 __all__ = ["AdaptationService", "canonical_target_id"]
 
@@ -274,13 +274,13 @@ class AdaptationService:
         return report
 
     def _run_tasks(
-        self, tasks: list[list[Job]], warm_epochs: int | None = None
+        self, tasks: list[list[StackJob]], warm_epochs: int | None = None
     ) -> Iterator[list[JobResult]]:
         """Run adaptation tasks; yield each task's per-job results, in input order.
 
-        A task is a list of ``(target_id, inputs, seed, base_model)`` jobs
-        run by :func:`~repro.runtime.workers.run_task` as one seeded
-        ``strategy.adapt_stacked`` call, whatever its length.
+        A task is a list of :class:`~repro.engine.StackJob` (``model=None``:
+        the source model) run by :func:`~repro.runtime.workers.run_task` as
+        one seeded ``strategy.adapt_stacked`` call, whatever its length.
         This is the one place that decides *where* adaptations run — on the
         attached process pool when there is one (every task is submitted up
         front, then results are collected in order), otherwise in the calling
@@ -306,7 +306,7 @@ class AdaptationService:
 
     def _settle(
         self,
-        task: list[Job],
+        task: list[StackJob],
         results: list[JobResult],
         mode: str,
         publish: Callable[[int, AdaptationReport, StrategyOutcome], None] | None = None,
@@ -322,9 +322,7 @@ class AdaptationService:
         """
         settled: list[tuple[AdaptationReport | None, Exception | None]] = []
         observed = False
-        for index, ((target_id, *_), (report, outcome, error)) in enumerate(
-            zip(task, results)
-        ):
+        for index, (job, (report, outcome, error)) in enumerate(zip(task, results)):
             if error is not None:
                 settled.append((None, error))
                 continue
@@ -333,7 +331,7 @@ class AdaptationService:
                 self.metrics.observe("service.adapt_seconds", report.duration_seconds, mode=mode)
                 observed = True
             if publish is None:
-                self._store_result(target_id, report, outcome.target_model)
+                self._store_result(job.target_id, report, outcome.target_model)
             else:
                 publish(index, report, outcome)
             settled.append((report, None))
@@ -531,11 +529,11 @@ class AdaptationService:
         """
         size = self.check_train_batching(train_batching)
         jobs = [
-            (
-                canonical_target_id(tid),
+            StackJob(
+                None,
                 data,
                 self.target_seed(tid) if seed is None else int(seed),
-                None,
+                canonical_target_id(tid),
             )
             for tid, data, seed in entries
         ]

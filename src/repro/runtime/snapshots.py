@@ -9,10 +9,11 @@ JSON file per target; on the next touch of that target the service resumes
 the model from the snapshot — bit-identical parameters, original report —
 instead of cold-adapting.
 
-Durability discipline (same as :class:`~repro.runtime.ResultStore`):
+Durability discipline (shared with :class:`~repro.runtime.ResultStore`):
 
-* writes go to a per-writer unique temp file (pid + uuid, ``O_EXCL``) in the
-  destination directory, are ``fsync``\\ ed, then ``os.replace``\\ d into place —
+* writes (:func:`~repro.runtime.serialization.write_durably`) go to a
+  per-writer unique temp file (pid + uuid, ``O_EXCL``) in the destination
+  directory, are ``fsync``\\ ed, then ``os.replace``\\ d into place —
   a killed writer can never leave a torn snapshot under the final name;
 * every snapshot embeds a SHA-256 checksum over its canonical JSON body, so
   a corrupted or truncated file is *detected* on load (typed
@@ -32,15 +33,14 @@ import base64
 import binascii
 import hashlib
 import json
-import os
 import re
-import uuid
 from pathlib import Path
 
 import numpy as np
 
 from ..core.density_map import LabelDensityMap
 from ..nn.module import Module
+from .serialization import write_durably
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -342,25 +342,7 @@ class SnapshotStore:
         body["schema"] = SNAPSHOT_SCHEMA
         body["target_id"] = target_id
         body["checksum"] = _checksum(body)
-        text = json.dumps(body, sort_keys=True)
-        # Same discipline as ResultStore.save: unique O_EXCL temp in the
-        # destination directory, fsync before the atomic same-filesystem
-        # rename, unlink the temp on any failure.
-        temp_name = str(path.parent / f".{path.stem}-{os.getpid()}-{uuid.uuid4().hex}.json.tmp")
-        handle = os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(text + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        return write_durably(path, json.dumps(body, sort_keys=True) + "\n")
 
     def load(self, target_id: str) -> dict | None:
         """One target's verified payload, ``None`` if absent.

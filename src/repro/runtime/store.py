@@ -10,8 +10,9 @@ Layout on disk::
 
     <root>/<scale>/seed<seed>/<experiment_id>.json
 
-Writes are atomic (write to a temp file, then ``os.replace``) so a killed
-process never leaves a half-written result that would poison a resume.  The
+Writes are atomic (:func:`~repro.runtime.serialization.write_durably`:
+write to a temp file, then ``os.replace``) so a killed process never leaves
+a half-written result that would poison a resume.  The
 temp file name is unique per writer (pid + uuid, created ``O_EXCL`` in the
 destination directory), so concurrent ``run-all --jobs`` workers racing on
 the *same* key can never interleave into one temp file — the last
@@ -21,12 +22,10 @@ the *same* key can never interleave into one temp file — the last
 from __future__ import annotations
 
 import json
-import os
-import uuid
 from pathlib import Path
 
 from ..experiments.base import ExperimentResult
-from .serialization import to_jsonable
+from .serialization import to_jsonable, write_durably
 
 __all__ = ["ResultStore"]
 
@@ -66,28 +65,7 @@ class ResultStore:
             "paper_expectation": result.paper_expectation,
             "notes": to_jsonable(result.notes),
         }
-        # A per-writer unique temp file in the destination directory: unique
-        # so concurrent workers saving the same key never share a temp file,
-        # same directory so os.replace stays an atomic same-filesystem rename.
-        # Opened with mode 0o666 + O_EXCL (not mkstemp, whose private 0600
-        # would survive the rename): the kernel applies the process umask
-        # natively, so stored results get the same permissions a plain
-        # open() would produce.
-        temp_name = str(path.parent / f".{path.stem}-{os.getpid()}-{uuid.uuid4().hex}.json.tmp")
-        handle = os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(json.dumps(payload, indent=2) + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        return path
+        return write_durably(path, json.dumps(payload, indent=2) + "\n")
 
     def load(self, experiment_id: str, scale: str, seed: int) -> ExperimentResult:
         """Reload a stored result.

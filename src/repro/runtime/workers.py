@@ -13,8 +13,8 @@ Design points:
   pristine source model and the prepared strategy as ``initargs`` — pickled
   once per worker under the ``spawn`` start method, inherited copy-on-write
   under ``fork`` — and stashes them in a module global.  Per-task traffic is
-  only ``(target_id, inputs, seed)`` out and ``(report, adapted model)``
-  back.
+  only the jobs out (:class:`~repro.engine.StackJob`; a cold job carries
+  no model) and ``(report, adapted model)`` back.
 * **Bit-identical to in-process adaptation.**  The worker runs
   :func:`run_task`, the very function the in-process path runs, and
   pickling preserves float64 bits exactly, so process results are
@@ -63,6 +63,7 @@ import os
 import threading
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import numpy as np
 
@@ -81,13 +82,9 @@ __all__ = [
 ]
 
 #: Executor kinds the serving layer accepts: adaptations on the shard
-#: dispatch threads, or on per-shard worker processes.
+#: dispatch thread, or on per-shard worker processes.
 EXECUTOR_KINDS = ("thread", "process")
 
-#: One adaptation job: ``(target_id, inputs, seed, base_model)``.  ``base_model``
-#: is ``None`` for a cold adaptation from the source model, or a previously
-#: adapted model to warm-start from.
-Job = tuple[str, np.ndarray, int, "RegressionModel | None"]
 #: What one job settles to: ``(report, outcome, None)`` or ``(None, None, error)``.
 JobResult = tuple["AdaptationReport | None", "StrategyOutcome | None", "Exception | None"]
 
@@ -110,27 +107,26 @@ def default_start_method() -> str:
 def run_task(
     strategy: AdaptationStrategy,
     source_model: RegressionModel,
-    task: list[Job],
+    task: list[StackJob],
     warm_epochs: int | None,
     metrics: MetricsRegistry | None,
 ) -> list[JobResult]:
     """Run one adaptation task and return one result per job, in input order.
 
     Every task, of one job or of a stack of ``train_batching``, is one
-    seeded ``strategy.adapt_stacked`` call.  Start models are passed as they
-    are: every scheme trains, and TASFAR probes, a private copy, so the
-    source model and a warm base model may keep serving on other threads
-    meanwhile.  Failures come back as data: a job's own error, so one bad
-    target does not poison its stack-mates, or, when the call raises as a
-    whole (an unprepared scheme), that error for every job of the task.
+    seeded ``strategy.adapt_stacked`` call.  A job whose ``model`` is
+    ``None`` starts from ``source_model``, filled in here so no scheme sees
+    ``None``.  Start models are passed as they are: every scheme trains,
+    and TASFAR probes, a private copy, so the source model and a warm base
+    model may keep serving on other threads meanwhile.  Failures come back
+    as data: a job's own error, so one bad target does not poison its
+    stack-mates, or, when the call raises as a whole (an unprepared
+    scheme), that error for every job of the task.
     The jobs of a task share one wall clock, which every report carries as
     its duration.
     """
     watch = Stopwatch()
-    jobs = [
-        StackJob(source_model if base is None else base, inputs, seed, target_id)
-        for target_id, inputs, seed, base in task
-    ]
+    jobs = [job if job.model is not None else replace(job, model=source_model) for job in task]
     with use_metrics(metrics):
         try:
             pairs = strategy.adapt_stacked(jobs, warm_epochs=warm_epochs)
@@ -141,11 +137,13 @@ def run_task(
         (None, None, error)
         if error is not None
         else (
-            AdaptationReport.from_outcome(target_id, seed, outcome, len(inputs), duration),
+            AdaptationReport.from_outcome(
+                job.target_id, job.seed, outcome, len(job.inputs), duration
+            ),
             outcome,
             None,
         )
-        for (target_id, inputs, seed, _base), (outcome, error) in zip(task, pairs)
+        for job, (outcome, error) in zip(task, pairs)
     ]
 
 
@@ -261,7 +259,7 @@ def _warm_compute_path(strategy: AdaptationStrategy, source_model: RegressionMod
         return False
     probe = np.random.default_rng(0).normal(size=shape)
     [(_report, _outcome, error)] = run_task(
-        strategy, source_model, [("warm-up", probe, 0, None)], 1, MetricsRegistry()
+        strategy, source_model, [StackJob(None, probe, 0, "warm-up")], 1, MetricsRegistry()
     )
     return error is None
 
@@ -270,7 +268,7 @@ def _worker_ready() -> None:
     """No-op task: its completion proves a worker process is up."""
 
 
-def _worker_run(task: list[Job], warm_epochs: int | None) -> tuple[list[JobResult], dict]:
+def _worker_run(task: list[StackJob], warm_epochs: int | None) -> tuple[list[JobResult], dict]:
     """Run one :func:`run_task` inside a worker process.
 
     The heavyweight ``outcome.result`` (per-sample prediction arrays) is
@@ -359,8 +357,8 @@ class AdaptationWorkerPool:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit_stacked(self, stack: list[Job], warm_epochs: int | None = None) -> Future:
-        """Queue one task of ``(target_id, inputs, seed, base_model)`` jobs.
+    def submit_stacked(self, stack: list[StackJob], warm_epochs: int | None = None) -> Future:
+        """Queue one task of :class:`~repro.engine.StackJob`\\ s.
 
         Resolve it with :meth:`collect_stacked`.  The task is one
         ``strategy.adapt_stacked`` call inside the worker (:func:`run_task`),

@@ -18,9 +18,11 @@ subcommands — each with its own kwargs and return shapes.  The
   the shard count only ever moves targets **to the new shards**, never
   reshuffles them among the old ones;
 * every interaction goes through one ``submit()`` / ``submit_many()``
-  surface (plus a future-returning ``submit_async``), and every request — a
-  lone one included — is answered as part of a per-shard group of its
-  kind.  Every :class:`~repro.serve.PredictRequest` is answered by the one
+  surface (plus a future-returning ``submit_async``).  Each shard is one
+  serial dispatch lane: a submission is one task per shard, which answers
+  the shard's requests group by group — adapts, streams, reads, predicts —
+  so a burst's reads and predictions see its own adaptations.  Every
+  :class:`~repro.serve.PredictRequest` is answered by the one
   micro-batching executor (:mod:`repro.serve.batching`): concurrent
   predicts for targets sharing a model instance coalesce, bit-identical to
   submitting the same requests one at a time and measurably faster under
@@ -82,8 +84,8 @@ def _placement_weight(target_id: str, shard: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-#: The group handler of each request kind, in the order a burst's groups are
-#: queued: mutators, then reads, then predictions.
+#: The group handler of each request kind, in the order a shard answers a
+#: submission's groups: mutators, then reads, then predictions.
 _ROUTES = (
     (AdaptRequest, "_handle_adapt_group"),
     (StreamRequest, "_handle_stream_group"),
@@ -99,73 +101,39 @@ def _route(request: object) -> int | None:
     )
 
 
-def _settle(future: Future, result=None, exc: BaseException | None = None) -> None:
-    """Resolve a future exactly once; later settlers lose quietly.
-
-    The task thread and the restart path can race to settle the same outer
-    future (a task finishing just as its pool is torn down); whichever
-    arrives second must be a no-op, not a crash.
-    """
-    try:
-        if exc is not None:
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
-    except InvalidStateError:
-        pass
-
-
 class _ShardDispatch:
-    """One shard's dispatch pool, with no-orphan restart semantics.
+    """One shard's dispatch lane: a single thread, with no-orphan restart semantics.
 
-    Callers never hold a raw executor future: :meth:`submit` returns an
-    *outer* future that this class guarantees to settle — with the task's
-    result, with the task's exception, or (when :meth:`restart` kills the
-    pool while the task is still queued) with the caller-provided
-    ``orphan_result``.  That last leg is the fix for the hang the old code
-    had: ``ThreadPoolExecutor.shutdown`` simply abandons queued work, and a
-    caller blocked on ``future.result()`` would wait forever.
+    Each task carries a ``fallback`` that answers the task's requests when
+    the task itself cannot: it is called with the pool's ``RuntimeError``
+    when the pool is already shut down for good (gateway closed), with a
+    :class:`ShardRestartedError` when :meth:`restart` throws the task away
+    while it is still queued, and with the task's own exception should it
+    raise.  ``ThreadPoolExecutor.shutdown`` simply abandons queued work, so
+    without the middle leg a caller blocked on ``future.result()`` would
+    wait forever.
 
     Tasks already *running* at restart time are not interruptible (threads
-    cannot be killed); they settle their outer future when they finish.
-    Under the process executor that is prompt — the worker processes
-    underneath them are killed, so the blocked task raises immediately and
-    the outer future resolves to an error envelope.
+    cannot be killed); they answer their requests when they finish.  Under
+    the process executor that is prompt — the worker processes underneath
+    them are killed, so the blocked task raises immediately and its
+    requests are answered with error envelopes.
     """
 
-    def __init__(self, index: int, workers: int, metrics: MetricsRegistry) -> None:
+    def __init__(self, index: int, metrics: MetricsRegistry) -> None:
         self.index = index
-        self.workers = workers
         self.metrics = metrics
         self._shard_label = str(index)
         self._lock = threading.Lock()
-        # inner executor future -> (outer caller future, orphan_result)
-        self._pending: dict[Future, tuple[Future, Callable[[], object]]] = {}
         self._pool = self._new_pool()
 
     def _new_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix=f"gateway-shard-{self.index}"
-        )
+        return ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"gateway-shard-{self.index}")
 
     def submit(
-        self,
-        fn: Callable,
-        args: tuple,
-        orphan_result: Callable[[], object],
-        on_start: Callable[[], None] | None = None,
-    ) -> Future:
-        """Queue ``fn(*args)``; the returned future always settles.
-
-        ``orphan_result`` is called (lazily, only if needed) to produce the
-        value the future resolves to when the task is thrown away by a
-        restart before it ever ran.  ``on_start`` (if given) runs on the
-        dispatch thread the moment the task leaves the queue — the tracer
-        uses it to stamp dequeue times.  Raises ``RuntimeError`` if the pool
-        is already shut down for good (gateway closed) — callers translate
-        that into an immediate error envelope.
-        """
-        outer: Future = Future()
+        self, fn: Callable, args: tuple, fallback: Callable[[BaseException], None]
+    ) -> None:
+        """Queue ``fn(*args)`` on the lane; ``fallback`` answers for it if it cannot."""
         enqueued = now()
 
         def task():
@@ -179,48 +147,42 @@ class _ShardDispatch:
                     ("serve.queue_wait_seconds", now() - enqueued, 1, None, labels),
                 ),
             )
-            if on_start is not None:
-                on_start()
             try:
-                result = fn(*args)
-            except BaseException as exc:  # settle, never lose the outer future
-                _settle(outer, exc=exc)
-            else:
-                _settle(outer, result=result)
+                fn(*args)
+            except BaseException as exc:  # answer, never strand a caller
+                fallback(exc)
+                raise
 
         with self._lock:
             pool = self._pool
         self.metrics.gauge_add("serve.queue_depth", 1, shard=self._shard_label)
         try:
             inner = pool.submit(task)
-        except RuntimeError:
+        except RuntimeError as exc:
             self.metrics.gauge_add("serve.queue_depth", -1, shard=self._shard_label)
-            raise
-        with self._lock:
-            self._pending[inner] = (outer, orphan_result)
-        inner.add_done_callback(self._reap)
-        return outer
-
-    def _reap(self, inner: Future) -> None:
-        with self._lock:
-            entry = self._pending.pop(inner, None)
-        if entry is None:
+            fallback(exc)
             return
-        outer, orphan_result = entry
+        inner.add_done_callback(lambda inner: self._reap(inner, fallback))
+
+    def _reap(self, inner: Future, fallback: Callable[[BaseException], None]) -> None:
         if inner.cancelled():
             # Killed while still queued: the task never ran, so nothing else
-            # will ever settle the outer future — resolve it with the
-            # caller's orphan envelope.
+            # will ever answer its requests.
             self.metrics.gauge_add("serve.queue_depth", -1, shard=self._shard_label)
             self.metrics.counter("serve.orphaned_futures", shard=self._shard_label)
-            _settle(outer, result=orphan_result())
+            fallback(
+                ShardRestartedError(
+                    "the shard's worker pool was restarted while this request was "
+                    "queued; it never ran — resubmit it (adaptation is "
+                    "deterministic, so a retry reproduces the same result)"
+                )
+            )
 
     def restart(self) -> None:
-        """Swap in a fresh pool; queued tasks resolve to their orphan results.
+        """Swap in a fresh lane; queued tasks are answered by their fallbacks.
 
         Non-draining by design (it models a crash, not a graceful stop):
-        queued inner futures are cancelled, which triggers :meth:`_reap` and
-        settles their outer futures with the orphan envelopes.
+        queued tasks are cancelled, which triggers :meth:`_reap`.
         """
         with self._lock:
             old = self._pool
@@ -238,6 +200,17 @@ class Gateway:
     and :meth:`submit_async`, all on the one micro-batching executor
     (:func:`~repro.serve.batching.run_model_group`); there is no batching
     knob.
+
+    Every shard is one dispatch lane: one thread, on which each submission
+    is one task that answers the shard's requests in route order (adapts,
+    streams, reads, predicts).  A burst's answers therefore depend only on
+    its requests, whatever the executor or ``shard_workers``.  Parallelism
+    comes from the shards running side by side and, under
+    ``executor="process"``, from a burst's adaptation stacks reaching the
+    shard's worker processes together.  Submissions to one shard from
+    concurrent clients queue behind each other, and a burst mixing adapt
+    and stream requests on one shard trains its two groups one after the
+    other.
 
     Parameters
     ----------
@@ -257,12 +230,12 @@ class Gateway:
         Number of service shards.  Each shard has its own model cache,
         worker pool, and (for streaming) per-target stream state.
     shard_workers:
-        Workers per shard pool: dispatch threads (``executor="thread"``) or
-        worker processes plus the dispatch threads that feed them
-        (``executor="process"``).
+        Worker processes per shard under ``executor="process"``.  It has no
+        effect under ``executor="thread"``: every shard dispatches on one
+        thread whatever the value.
     executor:
-        ``"thread"`` (default) keeps shard work on the dispatch threads —
-        fine for prediction, GIL-bound for adaptation.  ``"process"``
+        ``"thread"`` (default) keeps shard work on the shard's dispatch
+        thread — fine for prediction, GIL-bound for adaptation.  ``"process"``
         attaches a :class:`~repro.runtime.AdaptationWorkerPool` to every
         shard service: adaptations run in worker processes on real cores
         (source weights shipped once per worker at pool start), while
@@ -371,7 +344,6 @@ class Gateway:
                     )
                 service = AdaptationService(source_model, calibration, **shard_kwargs)
             self._shards.append(service)
-        self._shard_workers = shard_workers
         # Every shard shares the strategy and the source model, so one
         # shard's validation covers the fleet: fail at construction, not on
         # the first burst.
@@ -381,10 +353,7 @@ class Gateway:
             # forking a threaded process is where the dragons live.
             for service in self._shards:
                 service.use_process_workers(shard_workers)
-        self._dispatch = [
-            _ShardDispatch(index, shard_workers, self.metrics)
-            for index in range(n_shards)
-        ]
+        self._dispatch = [_ShardDispatch(index, self.metrics) for index in range(n_shards)]
 
     def restart_shard_workers(self, shard: int) -> list[int]:
         """Kill one shard's worker pool and stand up a fresh one — no orphans.
@@ -520,24 +489,6 @@ class Gateway:
         )
         return envelope
 
-    def _orphan_envelope(self, request: Request) -> Callable[[], Envelope]:
-        """The envelope a request's future resolves to if a restart orphans it."""
-
-        def orphan() -> Envelope:
-            return self._count_envelope(
-                Envelope.failure(
-                    request.kind,
-                    request.target_id,
-                    ShardRestartedError(
-                        "the shard's worker pool was restarted while this request was "
-                        "queued; it never ran — resubmit it (adaptation is "
-                        "deterministic, so a retry reproduces the same result)"
-                    ),
-                )
-            )
-
-        return orphan
-
     def _begin_trace(self, request: Request):
         if self.tracer is None:
             return None
@@ -549,126 +500,102 @@ class Gateway:
         return self.submit_many([request])[0]
 
     def submit_async(self, request: Request) -> "Future[Envelope]":
-        """Handle one request on its shard's pool; returns a future envelope.
+        """Handle one request on its shard's lane; returns a future envelope.
 
-        The future *always* settles — with a success envelope, an error
+        The request is a one-request submission: one task on its shard's
+        lane, answered by the handler :meth:`submit_many` uses for its kind,
+        so its envelope is bit-identical to that request's answer inside any
+        burst, and it runs after every submission queued on the shard before
+        it.  The future *always* settles — with a success envelope, an error
         envelope, or (if :meth:`restart_shard_workers` kills the shard while
         the request is queued) an error envelope carrying
-        :class:`ShardRestartedError`.  The request is answered as a
-        one-request burst by the handler :meth:`submit_many` uses for its
-        kind, so its envelope is bit-identical to that request's answer
-        inside any burst; burst callers should still prefer
+        :class:`ShardRestartedError`.  Burst callers should still prefer
         :meth:`submit_many`, which coalesces predictions and stacks
         adaptations across the whole burst.
         """
-        trace = self._begin_trace(request)
-        try:
-            future = self._dispatch[self._shard_of(request)].submit(
-                self._handle_one,
-                (request,),
-                self._orphan_envelope(request),
-                on_start=None if trace is None else trace.mark_dequeued,
-            )
-        except RuntimeError as exc:
-            # Dead pool: same errors-as-data discipline as submit_many — the
-            # caller gets a future that resolves to an error envelope, not a
-            # synchronous crash.
-            envelope = self._count_envelope(
-                Envelope.failure(request.kind, request.target_id, exc)
-            )
-            if trace is not None:
-                trace.finish(envelope)
-            dead: "Future[Envelope]" = Future()
-            dead.set_result(envelope)
-            return dead
-        if trace is not None:
-
-            def finish_trace(settled: Future) -> None:
-                try:
-                    trace.finish(settled.result())
-                except BaseException:
-                    trace.finish(None)
-
-            future.add_done_callback(finish_trace)
-        return future
+        [answer] = self._queue([request])
+        return answer
 
     def submit_many(self, requests: Sequence[Request] | Iterable[Request]) -> list[Envelope]:
         """Handle a batch of requests, micro-batching the predictions.
 
-        Requests are grouped per kind and shard, one group per shard pool
-        task: :class:`PredictRequest`\\ s that resolve to the same model
-        instance (same shard, same ``batch_size``) are answered by coalesced
-        forwards, and :class:`AdaptRequest`\\ s and
+        The batch is queued as one task per shard, and each shard answers
+        its requests group by group: adapts, then streams, then reports and
+        metrics, then predictions.  So a burst's reads and predictions
+        always see its adaptations, whatever the executor or
+        ``shard_workers``.  :class:`PredictRequest`\\ s that resolve to the
+        same model instance (same shard, same ``batch_size``) are answered
+        by coalesced forwards, and :class:`AdaptRequest`\\ s and
         :class:`StreamRequest`\\ s train in stacks of up to
-        ``train_batching`` targets (a stack of one when it is 1).  Mutator
-        groups are queued first, then reads, then predictions, so on a
-        one-thread shard pool a burst's reads and predictions see its
-        adaptations.  Envelopes come back in the input order, errors as
-        error envelopes — one bad request never poisons the batch.
+        ``train_batching`` targets (a stack of one when it is 1).  Envelopes
+        come back in the input order, errors as error envelopes — one bad
+        request never poisons the batch.
         """
-        requests = list(requests)
-        envelopes: list[Envelope | None] = [None] * len(requests)
-        traces = [self._begin_trace(request) for request in requests]
-        groups: dict[tuple[int, int], list[tuple[int, Request]]] = {}
-        for index, request in enumerate(requests):
-            rank = _route(request)
-            if rank is None:
-                envelopes[index] = self._count_envelope(
-                    Envelope.failure(
-                        "unknown",
-                        None,
-                        TypeError(f"unsupported request type {type(request).__name__}"),
-                    )
+        return [answer.result() for answer in self._queue(list(requests))]
+
+    def _queue(self, requests: list[Request]) -> "list[Future[Envelope]]":
+        """Queue one submission as one task per shard; one future per request.
+
+        Every future settles exactly once: by its shard task, by the task's
+        fallback (a dead or restarted lane), or here for an unsupported
+        request type.
+        """
+        answers: list[Future] = [Future() for _ in requests]
+        by_shard: dict[int, list[tuple[Request, object, Future]]] = {}
+        for request, answer in zip(requests, answers):
+            trace = self._begin_trace(request)
+            if _route(request) is None:
+                error = TypeError(f"unsupported request type {type(request).__name__}")
+                self._answer(
+                    answer, trace, self._count_envelope(Envelope.failure("unknown", None, error))
                 )
                 continue
-            groups.setdefault((rank, self._shard_of(request)), []).append((index, request))
-        futures: list[Future] = []
-        for (rank, shard), group in sorted(groups.items()):
-            handler = getattr(self, _ROUTES[rank][1])
-            group_traces = [traces[index] for index, _ in group]
+            by_shard.setdefault(self._shard_of(request), []).append((request, trace, answer))
+        for shard, items in by_shard.items():
+            self._dispatch[shard].submit(
+                self._handle_shard,
+                (shard, items),
+                lambda exc, items=items: self._fail_unanswered(items, exc),
+            )
+        return answers
 
-            def orphan_group(group=group) -> list[tuple[int, Envelope]]:
-                return [(index, self._orphan_envelope(request)()) for index, request in group]
+    @staticmethod
+    def _answer(answer: Future, trace, envelope: Envelope) -> None:
+        if trace is not None:
+            trace.finish(envelope)
+        try:
+            answer.set_result(envelope)
+        except InvalidStateError:  # the caller cancelled its submit_async future
+            pass
 
-            def mark_group_dequeued(group_traces=group_traces) -> None:
-                for trace in group_traces:
-                    if trace is not None:
-                        trace.mark_dequeued()
-
-            try:
-                futures.append(
-                    self._dispatch[shard].submit(
-                        handler,
-                        (shard, group),
-                        orphan_group,
-                        on_start=None if self.tracer is None else mark_group_dequeued,
-                    )
-                )
-            except RuntimeError as exc:
-                # The pool died underneath us (shut down / interpreter
-                # teardown): answer with error envelopes rather than letting
-                # one dead shard poison the whole batch.
-                for index, request in group:
-                    envelopes[index] = self._count_envelope(
-                        Envelope.failure(request.kind, request.target_id, exc)
-                    )
-        for future in futures:
-            for index, envelope in future.result():
-                envelopes[index] = envelope
-        assert all(envelope is not None for envelope in envelopes)
-        for trace, envelope in zip(traces, envelopes):
-            if trace is not None:
-                trace.finish(envelope)
-        return envelopes  # type: ignore[return-value]
+    def _fail_unanswered(self, items: list, exc: BaseException) -> None:
+        """Answer each request its shard task left unanswered with ``exc``, as data."""
+        for request, trace, answer in items:
+            if not answer.done():
+                envelope = Envelope.failure(request.kind, request.target_id, exc)
+                self._answer(answer, trace, self._count_envelope(envelope))
 
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _handle_one(self, request: Request) -> Envelope:
-        """A lone request (``submit_async``) is a one-request burst of its kind."""
-        handler = getattr(self, _ROUTES[_route(request)][1])
-        [(_, envelope)] = handler(self._shard_of(request), [(0, request)])
-        return envelope
+    def _handle_shard(self, shard: int, items: list) -> None:
+        """Answer one shard's share of a submission, one group per kind.
+
+        Groups run in :data:`_ROUTES` order on the shard's lane, and each
+        group's requests are answered as soon as it is done.  A request's
+        queue span ends when its own group starts.
+        """
+        groups: dict[int, list[tuple[int, Request]]] = {}
+        for position, (request, _trace, _answer) in enumerate(items):
+            groups.setdefault(_route(request), []).append((position, request))
+        for rank in sorted(groups):
+            group = groups[rank]
+            if self.tracer is not None:
+                for position, _ in group:
+                    items[position][1].mark_dequeued()
+            for position, envelope in getattr(self, _ROUTES[rank][1])(shard, group):
+                _request, trace, answer = items[position]
+                self._answer(answer, trace, envelope)
 
     def _handle_read_group(
         self, shard: int, group: list[tuple[int, ReportRequest | MetricsRequest]]
@@ -1009,9 +936,10 @@ class Gateway:
     def close(self) -> None:
         """Shut the shard worker pools down (idempotent).
 
-        Dispatch pools drain, and any attached process worker pools are
-        released (their weights die with them; the shard services and their
-        caches remain usable in-process).
+        Each dispatch lane finishes its running task, and its queued ones
+        are answered with :class:`ShardRestartedError` envelopes.  Any
+        attached process worker pools are released (their weights die with
+        them; the shard services and their caches remain usable in-process).
         """
         for dispatch in self._dispatch:
             dispatch.close()

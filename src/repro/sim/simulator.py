@@ -19,11 +19,11 @@ driven, while keeping the run replayable:
 4. **predictions** run last as one :meth:`~repro.serve.Gateway.submit_many`
    burst, exercising the micro-batched coalescing path.
 
-The phase barriers remove the only nondeterminism a single ``submit_many``
-of mixed kinds would have (a predict racing the adapt that creates its
-model), and they cost nothing the workload cares about: within a tick the
-virtual clock does not advance, so "later in the same tick" has no meaning
-a client could observe.
+The phase barriers keep each target's mutators in trace order (one
+``submit_many`` would answer a tick's adapts before all of its streams),
+and they cost nothing the workload cares about: within a tick the virtual
+clock does not advance, so "later in the same tick" has no meaning a
+client could observe.
 
 Every envelope is appended to a canonical **transcript**: one JSON line per
 request with sorted keys and every ``duration_seconds`` scrubbed to ``0.0``

@@ -175,13 +175,6 @@ class WorkloadSpec:
     pins the full event trace and, through the deterministic serving stack,
     the full envelope transcript.
 
-    Determinism caveat: ``max_cached_models`` defaults to the total user
-    count, so no adapted model is ever evicted by capacity pressure.  With a
-    smaller explicit cache and ``shard_workers > 1``, *which* model is
-    evicted depends on thread completion order and the transcript is no
-    longer replayable — the cache-thrash fault plan injects evictions
-    explicitly instead, which keeps replay exact.
-
     ``train_batching`` mirrors the gateway knob of the same name: values
     above 1 stack up to that many same-tick adaptation requests into one
     batched training pass per shard.  Only the lower bound is checked here;

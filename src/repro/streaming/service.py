@@ -45,7 +45,7 @@ from ..core.config import TasfarConfig
 from ..core.density_map import LabelDensityMap
 from ..core.estimator import LabelDistributionEstimator
 from ..engine.rng import PROBE_STREAM, stream_seed_sequence
-from ..engine.strategy import AdaptationStrategy, StrategyOutcome
+from ..engine.strategy import AdaptationStrategy, StackJob, StrategyOutcome
 from ..nn.losses import Loss
 from ..nn.models import RegressionModel
 from ..obs import MetricsRegistry, Stopwatch
@@ -168,14 +168,11 @@ class _PendingIngest:
     action: str = "buffered"
     trigger: str | None = None
     observation: object | None = None
-    #: set by :meth:`StreamingAdaptationService._mark_due`
-    due: bool = False
-    warm: bool = False
-    base_model: RegressionModel | None = None
-    inputs: np.ndarray | None = None
+    #: the due adaptation (``model=None``: cold, from the source model), set
+    #: by :meth:`StreamingAdaptationService._mark_due`
+    job: StackJob | None = None
     n_snapshot: int = 0
     round_index: int = 0
-    seed: int = 0
 
 
 class StreamingAdaptationService(AdaptationService):
@@ -373,11 +370,11 @@ class StreamingAdaptationService(AdaptationService):
             for tid in sorted(states):
                 held.enter_context(states[tid].lock)
             pendings = [self._decide_locked(tid, states[tid], batch) for tid, batch in wave]
-            due = [pending for pending in pendings if pending.due]
+            due = [pending for pending in pendings if pending.job is not None]
             for warm in (False, True):
                 # Warm and cold rounds never share a stack: they train under
                 # different epoch schedules (and from different start models).
-                group = [pending for pending in due if pending.warm is warm]
+                group = [pending for pending in due if (pending.job.model is not None) is warm]
                 stacks = range(0, len(group), train_batching)
                 self._adapt_pending(
                     [group[start : start + train_batching] for start in stacks], warm
@@ -557,17 +554,14 @@ class StreamingAdaptationService(AdaptationService):
     def _mark_due(self, pending: _PendingIngest, base_model: RegressionModel | None) -> None:
         """Snapshot everything the due adaptation will consume (lock held)."""
         state = pending.state
-        pending.due = True
-        pending.base_model = base_model
-        pending.warm = base_model is not None
-        pending.inputs = (
-            state.buffer[0]
-            if len(state.buffer) == 1
-            else np.concatenate(state.buffer, axis=0)
-        )
         pending.n_snapshot = len(state.buffer)
         pending.round_index = state.n_cold + state.n_warm
-        pending.seed = self.target_seed(f"{pending.target_id}#round{pending.round_index}")
+        pending.job = StackJob(
+            base_model,
+            state.buffer[0] if len(state.buffer) == 1 else np.concatenate(state.buffer, axis=0),
+            self.target_seed(f"{pending.target_id}#round{pending.round_index}"),
+            pending.target_id,
+        )
 
     def _adapt_pending(self, groups: list[list[_PendingIngest]], warm: bool) -> None:
         """Run due (re-)adaptations, one task per group, and commit each success.
@@ -581,9 +575,7 @@ class StreamingAdaptationService(AdaptationService):
         once more confident data has arrived; any other error propagates.
         The caller holds every pending target's stream lock.
         """
-        tasks = [
-            [(p.target_id, p.inputs, p.seed, p.base_model) for p in group] for group in groups
-        ]
+        tasks = [[pending.job for pending in group] for group in groups]
         results = self._run_tasks(tasks, self.warm_epochs if warm else None)
         for group, task, task_results in zip(groups, tasks, results):
             settled = self._settle(
@@ -636,6 +628,7 @@ class StreamingAdaptationService(AdaptationService):
         snapshot of the buffer is consumed.
         """
         target_id, state = pending.target_id, pending.state
+        warm = pending.job.model is not None
         density_map = outcome.density_map
         if density_map is None:
             # The scheme does not estimate a label density map itself
@@ -644,10 +637,10 @@ class StreamingAdaptationService(AdaptationService):
             # believes", so estimate one by probing the adapted model on
             # the adaptation window.
             density_map = self._reference_density_map(
-                target_id, pending.round_index, outcome.target_model, pending.inputs
+                target_id, pending.round_index, outcome.target_model, pending.job.inputs
             )
         report.extra["round"] = pending.round_index
-        report.extra["mode"] = "warm" if pending.warm else "cold"
+        report.extra["mode"] = "warm" if warm else "cold"
         report.extra["drift_reference"] = density_map is not None
         self._store_result(target_id, report, outcome.target_model)
         if density_map is None:
@@ -671,7 +664,7 @@ class StreamingAdaptationService(AdaptationService):
             state.monitor.rebase(density_map)
         del state.buffer[: pending.n_snapshot]
         state.n_buffered = sum(len(batch) for batch in state.buffer)
-        if pending.warm:
+        if warm:
             state.n_warm += 1
         else:
             state.n_cold += 1

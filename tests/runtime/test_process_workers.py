@@ -15,7 +15,7 @@ import pytest
 
 import repro.nn as nn
 from repro.core import Tasfar
-from repro.engine import SourceResources, create_strategy, strategy_names
+from repro.engine import SourceResources, StackJob, create_strategy, strategy_names
 from repro.nn import model_digest, parameter_bytes
 from repro.obs import MetricsRegistry, use_metrics
 from repro.runtime import (
@@ -151,12 +151,39 @@ class TestWorkerResultSize:
         _init_worker(model, calibrated_tasfar(model, (40, 6, 20)))
         try:
             target = np.random.default_rng(1).normal(size=(40, 6, 20))
-            results, _delta = _worker_run([("user", target, 3, None)], None)
+            results, _delta = _worker_run([StackJob(None, target, 3, "user")], None)
         finally:
             _WORKER_STATE.clear()
         [(_report, outcome, error)] = results
         assert error is None
         assert len(pickle.dumps(results)) <= 3 * len(parameter_bytes(outcome.target_model))
+
+
+    def test_cold_job_task_pickles_without_the_source_model(self, monkeypatch):
+        # A cold job names no model: the worker starts it from the source
+        # model it was given at pool start, so the task that crosses the
+        # process boundary carries only the job's inputs.
+        model = nn.build_tcn_regressor(6, 20, seed=0)
+        service = AdaptationService(
+            model, strategy=calibrated_tasfar(model, (40, 6, 20)), config=fast_config()
+        )
+        pool = service.use_process_workers(1)
+        tasks = []
+        submit = pool.submit_stacked
+
+        def spy(stack, warm_epochs=None):
+            tasks.append(pickle.dumps((stack, warm_epochs)))
+            return submit(stack, warm_epochs)
+
+        monkeypatch.setattr(pool, "submit_stacked", spy)
+        try:
+            target = np.random.default_rng(1).normal(size=(8, 6, 20))
+            [(report, error)] = service.adapt_stack([("user", target, 3)])
+        finally:
+            service.close()
+        assert error is None and report.target_id == "user"
+        [task] = tasks
+        assert len(task) < len(parameter_bytes(model))
 
 
 class TestAttachedPool:
@@ -220,7 +247,7 @@ class TestPoolCrashSemantics:
         pool = AdaptationWorkerPool(1, model, strategy)
         pool.close()
         with pytest.raises(WorkerCrashError):
-            pool.submit_stacked([("t", np.zeros((4, 4)), 0, None)])
+            pool.submit_stacked([StackJob(None, np.zeros((4, 4)), 0, "t")])
 
     def test_killed_in_flight_future_raises_instead_of_hanging(self, source):
         model, calibration = source
@@ -231,9 +258,9 @@ class TestPoolCrashSemantics:
             # Warm the pool so the worker exists, then bury it in work and
             # kill it: every outstanding future must resolve (queued ones
             # cancelled, the running one broken), all as WorkerCrashError.
-            pool.collect_stacked(pool.submit_stacked([("warm", data, 0, None)]))
+            pool.collect_stacked(pool.submit_stacked([StackJob(None, data, 0, "warm")]))
             futures = [
-                pool.submit_stacked([(f"t{i}", data, i, None)]) for i in range(6)
+                pool.submit_stacked([StackJob(None, data, i, f"t{i}")]) for i in range(6)
             ]
             pool.restart()
             failures = 0
@@ -245,7 +272,7 @@ class TestPoolCrashSemantics:
             assert failures > 0, "restart with queued work should break some futures"
             # The respawned pool serves the same request to the same bits.
             [(report, _, error)] = pool.collect_stacked(
-                pool.submit_stacked([("warm", data, 0, None)])
+                pool.submit_stacked([StackJob(None, data, 0, "warm")])
             )
             assert error is None and report.target_id == "warm"
         finally:
