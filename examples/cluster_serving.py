@@ -47,7 +47,9 @@ TASK, SCALE, SEED = "housing", "tiny", 0
 
 
 def build_node(name: str) -> NetServer:
-    gateway = Gateway.from_task(TASK, scale=SCALE, seed=SEED, scheme="tasfar", n_shards=2)
+    gateway = Gateway.from_task(
+        TASK, scale=SCALE, seed=SEED, scheme="tasfar", n_shards=2, shard_workers=2
+    )
     server = NetServer(gateway, node=name, max_pending=64)
     server.start()
     return server

@@ -37,7 +37,9 @@ TASK, SCALE, SEED = "pdr", "small", 0
 
 def main() -> None:
     print(f"standing the {TASK!r} task up behind a 2-shard gateway ...")
-    gateway = Gateway.from_task(TASK, scheme="tasfar", scale=SCALE, seed=SEED, n_shards=2)
+    gateway = Gateway.from_task(
+        TASK, scheme="tasfar", scale=SCALE, seed=SEED, n_shards=2, shard_workers=4
+    )
     bundle = get_bundle(TASK, SCALE, SEED)
     scenarios = {scenario.name: scenario for scenario in bundle.task.scenarios}
 

@@ -18,9 +18,9 @@ interrupted run can pick up where it left off::
 
 Adapt every target scenario of a task through the serving gateway, on four
 worker processes (JSON report).  ``--jobs`` counts worker processes per shard
-under ``--executor process`` and has no effect under the default ``--executor
-thread``: every shard dispatches on one thread, answering a burst's
-adaptations before its predictions::
+under ``--executor process``; under the default ``--executor thread`` a
+burst's adaptations run on one dispatch thread per shard, and ``--jobs``
+only adds threads for concurrent submissions::
 
     python -m repro.cli adapt-many --task pdr --scale small --executor process \
         --jobs 4 --report adaptation_reports.json
@@ -78,11 +78,12 @@ from .experiments import SCALES, list_experiments, run_experiment
 
 __all__ = ["main", "build_parser"]
 
-#: What the per-shard worker count means: every shard dispatches on one
-#: thread, so the count sizes only the process pool.
+#: What the per-shard worker count means: a burst's adaptations (and its
+#: predictions) are one dispatch task per shard.
 SHARD_WORKERS_HELP = (
-    "worker processes per gateway shard under --executor process; no effect "
-    "under --executor thread (every shard dispatches on one thread)"
+    "worker processes per gateway shard under --executor process; otherwise "
+    "dispatch threads per shard, which only serve concurrent submissions "
+    "(separate connections, submit_async): a burst adapts on one thread per shard"
 )
 
 

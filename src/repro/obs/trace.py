@@ -5,8 +5,8 @@ trace per submitted request, broken into spans mirroring the request's
 actual path through the stack::
 
     request (root)            submit -> envelope returned
-      queue                   submit -> the shard lane starts the
-                              request's group
+      queue                   submit -> the shard's dispatch thread
+                              starts the request's group
       handle                  shard thread working the request
         engine                training time, from the report the engine
                               already stamps (adapt/stream only)
@@ -63,7 +63,7 @@ class RequestTrace:
         self._done = False
 
     def mark_dequeued(self) -> None:
-        """The shard lane started this request's group; ends the queue span."""
+        """The dispatch thread started this request's group; ends the queue span."""
         if self._t_start is None:
             self._t_start = now()
 

@@ -18,10 +18,10 @@ subcommands — each with its own kwargs and return shapes.  The
   the shard count only ever moves targets **to the new shards**, never
   reshuffles them among the old ones;
 * every interaction goes through one ``submit()`` / ``submit_many()``
-  surface (plus a future-returning ``submit_async``).  Each shard is one
-  serial dispatch lane: a submission is one task per shard, which answers
-  the shard's requests group by group — adapts, streams, reads, predicts —
-  so a burst's reads and predictions see its own adaptations.  Every
+  surface (plus a future-returning ``submit_async``).  A submission is one
+  dispatch task per shard, which answers the shard's requests group by
+  group — adapts, streams, reads, predicts — so a burst's reads and
+  predictions see its own adaptations.  Every
   :class:`~repro.serve.PredictRequest` is answered by the one
   micro-batching executor (:mod:`repro.serve.batching`): concurrent
   predicts for targets sharing a model instance coalesce, bit-identical to
@@ -101,12 +101,25 @@ def _route(request: object) -> int | None:
     )
 
 
-class _ShardDispatch:
-    """One shard's dispatch lane: a single thread, with no-orphan restart semantics.
+def _settle(future: Future, result) -> None:
+    """Resolve a future exactly once; a later settler loses quietly.
 
-    Each task carries a ``fallback`` that answers the task's requests when
-    the task itself cannot: it is called with the pool's ``RuntimeError``
-    when the pool is already shut down for good (gateway closed), with a
+    A ``submit_async`` caller may cancel its future while the task is still
+    queued; the task's own settlement must then be a no-op, not a crash.
+    """
+    try:
+        future.set_result(result)
+    except InvalidStateError:
+        pass
+
+
+class _ShardDispatch:
+    """One shard's dispatch pool, with no-orphan restart semantics.
+
+    :meth:`submit` returns a future that this class guarantees to settle —
+    with the task's result, or with what the task's ``fallback`` answers
+    instead.  The fallback is called with the pool's ``RuntimeError`` when
+    the pool is already shut down for good (gateway closed), with a
     :class:`ShardRestartedError` when :meth:`restart` throws the task away
     while it is still queued, and with the task's own exception should it
     raise.  ``ThreadPoolExecutor.shutdown`` simply abandons queued work, so
@@ -114,26 +127,30 @@ class _ShardDispatch:
     wait forever.
 
     Tasks already *running* at restart time are not interruptible (threads
-    cannot be killed); they answer their requests when they finish.  Under
+    cannot be killed); they settle their future when they finish.  Under
     the process executor that is prompt — the worker processes underneath
     them are killed, so the blocked task raises immediately and its
     requests are answered with error envelopes.
     """
 
-    def __init__(self, index: int, metrics: MetricsRegistry) -> None:
+    def __init__(self, index: int, workers: int, metrics: MetricsRegistry) -> None:
         self.index = index
+        self.workers = workers
         self.metrics = metrics
         self._shard_label = str(index)
         self._lock = threading.Lock()
         self._pool = self._new_pool()
 
     def _new_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"gateway-shard-{self.index}")
+        return ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix=f"gateway-shard-{self.index}"
+        )
 
     def submit(
-        self, fn: Callable, args: tuple, fallback: Callable[[BaseException], None]
-    ) -> None:
-        """Queue ``fn(*args)`` on the lane; ``fallback`` answers for it if it cannot."""
+        self, fn: Callable[[], object], fallback: Callable[[BaseException], object]
+    ) -> Future:
+        """Queue ``fn()`` on the pool; the returned future always settles."""
+        outer: Future = Future()
         enqueued = now()
 
         def task():
@@ -148,10 +165,10 @@ class _ShardDispatch:
                 ),
             )
             try:
-                fn(*args)
+                result = fn()
             except BaseException as exc:  # answer, never strand a caller
-                fallback(exc)
-                raise
+                result = fallback(exc)
+            _settle(outer, result)
 
         with self._lock:
             pool = self._pool
@@ -160,26 +177,32 @@ class _ShardDispatch:
             inner = pool.submit(task)
         except RuntimeError as exc:
             self.metrics.gauge_add("serve.queue_depth", -1, shard=self._shard_label)
-            fallback(exc)
-            return
-        inner.add_done_callback(lambda inner: self._reap(inner, fallback))
+            _settle(outer, fallback(exc))
+            return outer
+        inner.add_done_callback(lambda inner: self._reap(inner, outer, fallback))
+        return outer
 
-    def _reap(self, inner: Future, fallback: Callable[[BaseException], None]) -> None:
+    def _reap(
+        self, inner: Future, outer: Future, fallback: Callable[[BaseException], object]
+    ) -> None:
         if inner.cancelled():
             # Killed while still queued: the task never ran, so nothing else
-            # will ever answer its requests.
+            # will ever settle its future.
             self.metrics.gauge_add("serve.queue_depth", -1, shard=self._shard_label)
             self.metrics.counter("serve.orphaned_futures", shard=self._shard_label)
-            fallback(
-                ShardRestartedError(
-                    "the shard's worker pool was restarted while this request was "
-                    "queued; it never ran — resubmit it (adaptation is "
-                    "deterministic, so a retry reproduces the same result)"
-                )
+            _settle(
+                outer,
+                fallback(
+                    ShardRestartedError(
+                        "the shard's worker pool was restarted while this request was "
+                        "queued; it never ran — resubmit it (adaptation is "
+                        "deterministic, so a retry reproduces the same result)"
+                    )
+                ),
             )
 
     def restart(self) -> None:
-        """Swap in a fresh lane; queued tasks are answered by their fallbacks.
+        """Swap in a fresh pool; queued tasks are answered by their fallbacks.
 
         Non-draining by design (it models a crash, not a graceful stop):
         queued tasks are cancelled, which triggers :meth:`_reap`.
@@ -201,16 +224,14 @@ class Gateway:
     (:func:`~repro.serve.batching.run_model_group`); there is no batching
     knob.
 
-    Every shard is one dispatch lane: one thread, on which each submission
-    is one task that answers the shard's requests in route order (adapts,
-    streams, reads, predicts).  A burst's answers therefore depend only on
-    its requests, whatever the executor or ``shard_workers``.  Parallelism
-    comes from the shards running side by side and, under
-    ``executor="process"``, from a burst's adaptation stacks reaching the
-    shard's worker processes together.  Submissions to one shard from
-    concurrent clients queue behind each other, and a burst mixing adapt
-    and stream requests on one shard trains its two groups one after the
-    other.
+    A submission is one dispatch task per shard, which answers the shard's
+    requests in route order (adapts, streams, reads, predicts) on one
+    thread.  A burst's reads and predictions therefore see its own
+    adaptations, whatever the executor or ``shard_workers``.  Submissions
+    from concurrent clients run side by side on a shard's dispatch threads,
+    so one client's predictions do not wait for another client's
+    adaptation.  A burst mixing adapt and stream requests on one shard
+    trains its two groups one after the other.
 
     Parameters
     ----------
@@ -230,12 +251,13 @@ class Gateway:
         Number of service shards.  Each shard has its own model cache,
         worker pool, and (for streaming) per-target stream state.
     shard_workers:
-        Worker processes per shard under ``executor="process"``.  It has no
-        effect under ``executor="thread"``: every shard dispatches on one
-        thread whatever the value.
+        Workers per shard: dispatch threads, which serve concurrent
+        submissions side by side (one burst is one task per shard, so it
+        runs on one of them); under ``executor="process"`` also the size of
+        the shard's worker-process pool.
     executor:
-        ``"thread"`` (default) keeps shard work on the shard's dispatch
-        thread — fine for prediction, GIL-bound for adaptation.  ``"process"``
+        ``"thread"`` (default) keeps shard work on the dispatch threads —
+        fine for prediction, GIL-bound for adaptation.  ``"process"``
         attaches a :class:`~repro.runtime.AdaptationWorkerPool` to every
         shard service: adaptations run in worker processes on real cores
         (source weights shipped once per worker at pool start), while
@@ -353,7 +375,9 @@ class Gateway:
             # forking a threaded process is where the dragons live.
             for service in self._shards:
                 service.use_process_workers(shard_workers)
-        self._dispatch = [_ShardDispatch(index, self.metrics) for index in range(n_shards)]
+        self._dispatch = [
+            _ShardDispatch(index, shard_workers, self.metrics) for index in range(n_shards)
+        ]
 
     def restart_shard_workers(self, shard: int) -> list[int]:
         """Kill one shard's worker pool and stand up a fresh one — no orphans.
@@ -500,21 +524,24 @@ class Gateway:
         return self.submit_many([request])[0]
 
     def submit_async(self, request: Request) -> "Future[Envelope]":
-        """Handle one request on its shard's lane; returns a future envelope.
+        """Handle one request on its shard's pool; returns a future envelope.
 
         The request is a one-request submission: one task on its shard's
-        lane, answered by the handler :meth:`submit_many` uses for its kind,
+        pool, answered by the handler :meth:`submit_many` uses for its kind,
         so its envelope is bit-identical to that request's answer inside any
-        burst, and it runs after every submission queued on the shard before
-        it.  The future *always* settles — with a success envelope, an error
-        envelope, or (if :meth:`restart_shard_workers` kills the shard while
-        the request is queued) an error envelope carrying
+        burst.  The future *always* settles — with a success envelope, an
+        error envelope, or (if :meth:`restart_shard_workers` kills the shard
+        while the request is queued) an error envelope carrying
         :class:`ShardRestartedError`.  Burst callers should still prefer
         :meth:`submit_many`, which coalesces predictions and stacks
         adaptations across the whole burst.
         """
-        [answer] = self._queue([request])
-        return answer
+        envelopes, answers = self._submit([request], lambda envelopes: envelopes[0])
+        if answers:
+            return answers[0]
+        unsupported: "Future[Envelope]" = Future()
+        unsupported.set_result(envelopes[0])
+        return unsupported
 
     def submit_many(self, requests: Sequence[Request] | Iterable[Request]) -> list[Envelope]:
         """Handle a batch of requests, micro-batching the predictions.
@@ -531,71 +558,79 @@ class Gateway:
         come back in the input order, errors as error envelopes — one bad
         request never poisons the batch.
         """
-        return [answer.result() for answer in self._queue(list(requests))]
+        envelopes, answers = self._submit(list(requests), lambda envelopes: None)
+        for answer in answers:
+            answer.result()
+        return envelopes
 
-    def _queue(self, requests: list[Request]) -> "list[Future[Envelope]]":
-        """Queue one submission as one task per shard; one future per request.
+    def _submit(
+        self, requests: list[Request], unwrap: Callable[[list], object]
+    ) -> tuple[list, list[Future]]:
+        """Queue a submission as one task per shard, each grouped by route.
 
-        Every future settles exactly once: by its shard task, by the task's
-        fallback (a dead or restarted lane), or here for an unsupported
-        request type.
+        Returns the submission's envelope list, which the shard tasks fill
+        in (unsupported request types are answered here, at once), and one
+        future per shard task.  A task's future settles once its requests
+        are answered — by the task, or by its fallback (a dead or restarted
+        pool) for every request the task left unanswered — with ``unwrap``
+        of the envelope list.
         """
-        answers: list[Future] = [Future() for _ in requests]
-        by_shard: dict[int, list[tuple[Request, object, Future]]] = {}
-        for request, answer in zip(requests, answers):
-            trace = self._begin_trace(request)
-            if _route(request) is None:
+        traces = [self._begin_trace(request) for request in requests]
+        envelopes: list[Envelope | None] = [None] * len(requests)
+        by_shard: dict[int, dict[int, list[tuple[int, Request]]]] = {}
+        for index, request in enumerate(requests):
+            rank = _route(request)
+            if rank is None:
                 error = TypeError(f"unsupported request type {type(request).__name__}")
-                self._answer(
-                    answer, trace, self._count_envelope(Envelope.failure("unknown", None, error))
-                )
+                envelope = self._count_envelope(Envelope.failure("unknown", None, error))
+                envelopes[index] = self._finish(traces[index], envelope)
                 continue
-            by_shard.setdefault(self._shard_of(request), []).append((request, trace, answer))
-        for shard, items in by_shard.items():
-            self._dispatch[shard].submit(
-                self._handle_shard,
-                (shard, items),
-                lambda exc, items=items: self._fail_unanswered(items, exc),
+            by_shard.setdefault(self._shard_of(request), {}).setdefault(rank, []).append(
+                (index, request)
             )
-        return answers
+
+        def queue(shard: int, groups: dict) -> Future:
+            def run():
+                self._handle_shard(shard, groups, traces, envelopes)
+                return unwrap(envelopes)
+
+            def fallback(exc: BaseException):
+                for group in groups.values():
+                    for index, request in group:
+                        if envelopes[index] is None:
+                            envelope = Envelope.failure(request.kind, request.target_id, exc)
+                            envelopes[index] = self._finish(
+                                traces[index], self._count_envelope(envelope)
+                            )
+                return unwrap(envelopes)
+
+            return self._dispatch[shard].submit(run, fallback)
+
+        return envelopes, [queue(shard, groups) for shard, groups in by_shard.items()]
 
     @staticmethod
-    def _answer(answer: Future, trace, envelope: Envelope) -> None:
+    def _finish(trace, envelope: Envelope) -> Envelope:
         if trace is not None:
             trace.finish(envelope)
-        try:
-            answer.set_result(envelope)
-        except InvalidStateError:  # the caller cancelled its submit_async future
-            pass
-
-    def _fail_unanswered(self, items: list, exc: BaseException) -> None:
-        """Answer each request its shard task left unanswered with ``exc``, as data."""
-        for request, trace, answer in items:
-            if not answer.done():
-                envelope = Envelope.failure(request.kind, request.target_id, exc)
-                self._answer(answer, trace, self._count_envelope(envelope))
+        return envelope
 
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _handle_shard(self, shard: int, items: list) -> None:
+    def _handle_shard(self, shard: int, groups: dict, traces: list, envelopes: list) -> None:
         """Answer one shard's share of a submission, one group per kind.
 
-        Groups run in :data:`_ROUTES` order on the shard's lane, and each
-        group's requests are answered as soon as it is done.  A request's
-        queue span ends when its own group starts.
+        Groups run in :data:`_ROUTES` order on one dispatch thread, each
+        group's envelopes landing in ``envelopes`` as soon as it is done.
+        A request's queue span ends when its own group starts.
         """
-        groups: dict[int, list[tuple[int, Request]]] = {}
-        for position, (request, _trace, _answer) in enumerate(items):
-            groups.setdefault(_route(request), []).append((position, request))
         for rank in sorted(groups):
             group = groups[rank]
             if self.tracer is not None:
-                for position, _ in group:
-                    items[position][1].mark_dequeued()
-            for position, envelope in getattr(self, _ROUTES[rank][1])(shard, group):
-                _request, trace, answer = items[position]
-                self._answer(answer, trace, envelope)
+                for index, _ in group:
+                    traces[index].mark_dequeued()
+            for index, envelope in getattr(self, _ROUTES[rank][1])(shard, group):
+                envelopes[index] = self._finish(traces[index], envelope)
 
     def _handle_read_group(
         self, shard: int, group: list[tuple[int, ReportRequest | MetricsRequest]]
@@ -936,7 +971,7 @@ class Gateway:
     def close(self) -> None:
         """Shut the shard worker pools down (idempotent).
 
-        Each dispatch lane finishes its running task, and its queued ones
+        Each dispatch pool finishes its running tasks, and its queued ones
         are answered with :class:`ShardRestartedError` envelopes.  Any
         attached process worker pools are released (their weights die with
         them; the shard services and their caches remain usable in-process).

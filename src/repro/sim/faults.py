@@ -171,7 +171,7 @@ class ShardCrashPlan(FaultPlan):
     Rotates through the shards so every pool dies at least once in a long
     enough run.  Under ``executor="process"`` this kills the shard's real
     worker *processes* (SIGTERM, fresh pool respawned, weights re-shipped);
-    under threads it swaps the dispatch lane.  Either way requests queued at
+    under threads it swaps the dispatch pool.  Either way requests queued at
     crash time resolve to error envelopes instead of hanging — but the plan
     fires *between* ticks, when the simulator has nothing in flight, so the
     shard's *service state* (cached models, stream buffers, reports)
